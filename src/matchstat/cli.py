@@ -276,11 +276,25 @@ def cmd_tableau(args) -> int:
         osc, _ = matching_to_oscillating(m)
         if oscillating_to_matching(osc) != m:
             failures += 1
-    verdict = "PASS" if not failures else f"FAIL ({failures} of {args.random})"
-    _emit(
-        f"round trip on {args.random} random matchings at n={args.n}: {verdict}",
-        args.out,
-    )
+    if args.format == "json":
+        _emit(
+            json.dumps(
+                {
+                    "n": args.n,
+                    "seed": args.seed,
+                    "count": args.random,
+                    "failures": failures,
+                    "round_trip": not failures,
+                }
+            ),
+            args.out,
+        )
+    else:
+        verdict = "PASS" if not failures else f"FAIL ({failures} of {args.random})"
+        _emit(
+            f"round trip on {args.random} random matchings at n={args.n}: {verdict}",
+            args.out,
+        )
     return 0 if not failures else 1
 
 

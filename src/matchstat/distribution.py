@@ -353,18 +353,25 @@ class CltReport:
 def _descent_counts_range(n: int, seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start, dtype=np.int64)
     for k in range(start, stop):
-        partner = np.asarray(_random_partner(n, _rng_for(seed, k)))
-        out[k - start] = int((partner[:-1] > partner[1:]).sum())
+        partner = _random_partner(n, _rng_for(seed, k))
+        out[k - start] = np.count_nonzero(partner[:-1] > partner[1:])
     return out
 
 
 def _resolve_workers(threads: int | None) -> int:
+    # The output does not depend on the worker count, so capping it at the
+    # core count only bounds how many processes a large request starts.
     if threads is None:
         env = os.environ.get("MATCHSTAT_THREADS", "")
-        threads = int(env) if env else 1
+        try:
+            threads = int(env) if env else 1
+        except ValueError:
+            raise ValueError(
+                f"MATCHSTAT_THREADS must be a positive integer, got {env!r}"
+            ) from None
     if threads < 1:
         raise ValueError("thread count must be >= 1")
-    return threads
+    return min(threads, os.cpu_count() or 1)
 
 
 def clt_experiment(
@@ -375,14 +382,15 @@ def clt_experiment(
     Sample k is drawn from RNG stream k, so the output is independent of
     how the work is split across processes; ``threads`` (default: the
     MATCHSTAT_THREADS environment variable, else 1) caps the worker
-    count.  Reports the sample mean and variance of W and the KS
-    distance, with both one-sided gaps measured at every sample lattice
-    point.
+    count, which is further capped at the number of cores.  Reports the
+    sample mean and variance of W and the KS distance, with both
+    one-sided gaps measured at every sample lattice point.  The sample
+    variance needs ``num_samples >= 2``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
+    if num_samples < 2:
+        raise ValueError("num_samples must be >= 2")
     workers = _resolve_workers(threads)
     if workers == 1 or num_samples < 4 * workers:
         counts = _descent_counts_range(n, seed, 0, num_samples)
@@ -397,7 +405,7 @@ def clt_experiment(
     sqrt_n = math.sqrt(n)
     w = (counts - n) / sqrt_n
     mean = float(w.mean())
-    var = float(w.var(ddof=1)) if num_samples > 1 else 0.0
+    var = float(w.var(ddof=1))
 
     sigma = math.sqrt(_TARGET_VAR)
     freq = np.bincount(counts)

@@ -190,32 +190,29 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
     )
 
 
-def _random_partner(n: int, rng: np.random.Generator) -> list[int]:
-    # One vectorized draw: at step t the smallest unmatched letter is
-    # paired with the rank-r remaining letter, r uniform on the 2n-2t-1
-    # candidates.
-    ranks = rng.integers(0, np.arange(2 * n - 1, 0, -2))
-    avail = list(range(1, 2 * n + 1))
-    partner = [0] * (2 * n)
-    for r in ranks.tolist():
-        a = avail.pop(0)
-        b = avail.pop(r)
-        partner[a - 1] = b
-        partner[b - 1] = a
+def _random_partner(n: int, rng: np.random.Generator) -> np.ndarray:
+    # Shuffle the letters 1..2n and pair neighbours: letters perm[2t] and
+    # perm[2t+1] form the t-th block (uniform; see sample_uniform).
+    perm = rng.permutation(2 * n) + 1
+    partner = np.empty_like(perm)
+    partner[perm[0::2] - 1] = perm[1::2]
+    partner[perm[1::2] - 1] = perm[0::2]
     return partner
 
 
 def sample_uniform(n: int, seed: int, stream: int = 0) -> Matching:
     """A uniformly random matching of S_{2n}.
 
-    Repeatedly matches the smallest unmatched letter with a uniformly
-    random other unmatched letter.  Deterministic for fixed
-    (seed, stream); distinct streams give independent sequences, so
-    callers may parallelize by assigning one stream per draw.
+    Shuffles 1..2n uniformly and pairs the letters at positions 2t and
+    2t+1.  The result is uniform: each matching arises from exactly
+    2^n * n! of the (2n)! permutations (order its n blocks, then orient
+    each block).  Deterministic for fixed (seed, stream); distinct
+    streams give independent sequences, so callers may parallelize by
+    assigning one stream per draw.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Matching(tuple(_random_partner(n, _rng_for(seed, stream))))
+    return Matching(tuple(_random_partner(n, _rng_for(seed, stream)).tolist()))
 
 
 _STAT_FIELDS = (

@@ -123,6 +123,19 @@ class TestTableau:
         assert code == 0
         assert "PASS" in out
 
+    def test_random_json(self, capsys):
+        code, out, _ = run(
+            capsys, "tableau", "--random", "3", "--n", "5", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "n": 5,
+            "seed": 42,
+            "count": 3,
+            "failures": 0,
+            "round_trip": True,
+        }
+
     def test_random_requires_n(self, capsys):
         code, _, _ = run(capsys, "tableau", "--random", "5")
         assert code == 2
@@ -165,6 +178,19 @@ class TestClt:
         assert run(capsys, "clt", "--n", "0")[0] == 2
         assert run(capsys, "clt", "--n", "5", "--samples", "-3")[0] == 2
         assert run(capsys, "clt", "--n", "5", "--seed", "-1")[0] == 2
+
+    def test_sample_count_limit(self, capsys):
+        # a single sample has no variance: a usage error, not a failed check
+        code, out, err = run(capsys, "clt", "--n", "5", "--samples", "1")
+        assert code == 2 and out == ""
+        assert "num_samples must be >= 2" in err
+        assert run(capsys, "clt", "--n", "5", "--samples", "2")[0] in (0, 1)
+
+    def test_bad_thread_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MATCHSTAT_THREADS", "many")
+        code, _, err = run(capsys, "clt", "--n", "5", "--samples", "10")
+        assert code == 2
+        assert "MATCHSTAT_THREADS" in err
 
 
 class TestMgf:

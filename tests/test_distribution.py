@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 from fractions import Fraction
+from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from matchstat import (
@@ -24,7 +27,7 @@ from matchstat import (
     polynomial_by_gf,
     sample_uniform,
 )
-from matchstat.distribution import _descent_counts_range
+from matchstat.distribution import _descent_counts_range, _resolve_workers
 
 
 @pytest.mark.parametrize("a,b,expected", [(5, 2, 10), (4, 2, 6), (3, 5, 0), (0, 0, 1)])
@@ -214,6 +217,18 @@ class TestCltExperiment:
         assert abs(report.sample_var_W - 1 / 6) < 0.03
         assert report.ks_distance < 0.15
 
+    def test_empirical_cdf_within_dkw_bound_of_exact_law(self):
+        # Dvoretzky-Kiefer-Wolfowitz: P(sup |F_N - F| > eps) <= 2 exp(-2 N eps^2),
+        # so eps below fails a correct sampler with probability <= 1e-6
+        n, draws = 200, 20000
+        eps = math.sqrt(math.log(2 / 1e-6) / (2 * draws))
+        counts = _descent_counts_range(n, 42, 0, draws)
+        empirical = np.cumsum(np.bincount(counts, minlength=2 * n)) / draws
+        law = dict(exact_distribution(n))
+        exact = accumulate(law.get(m, 0) for m in range(2 * n))
+        gap = max(abs(float(e) - float(f)) for e, f in zip(empirical, exact))
+        assert gap <= eps
+
     def test_mean_of_descent_count_near_n(self):
         counts = _descent_counts_range(4, 42, 0, 20000)
         assert abs(counts.mean() - 4) < 0.02
@@ -238,3 +253,25 @@ class TestCltExperiment:
             clt_experiment(2, 0, 1)
         with pytest.raises(ValueError):
             clt_experiment(2, 10, 1, threads=0)
+
+    def test_sample_count_limit(self):
+        # one sample has no sample variance
+        with pytest.raises(ValueError, match="num_samples must be >= 2"):
+            clt_experiment(5, 1, 1)
+        assert clt_experiment(5, 2, 1).num_samples == 2
+
+
+class TestResolveWorkers:
+    def test_capped_at_core_count(self):
+        assert _resolve_workers(10**9) == (os.cpu_count() or 1)
+        assert _resolve_workers(1) == 1
+
+    def test_env_capped_at_core_count(self, monkeypatch):
+        monkeypatch.setenv("MATCHSTAT_THREADS", str(10**9))
+        assert _resolve_workers(None) == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "4x"])
+    def test_env_rejects_non_integer(self, monkeypatch, value):
+        monkeypatch.setenv("MATCHSTAT_THREADS", value)
+        with pytest.raises(ValueError, match="MATCHSTAT_THREADS"):
+            _resolve_workers(None)

@@ -193,6 +193,14 @@ class TestSampling:
             m = sample_uniform(50, 7, stream=k)
             assert m.n == 50  # construction re-validates the involution
 
+    def test_partner_holds_python_ints(self):
+        # the draw is a numpy array; the Matching must hash, compare and
+        # print exactly like one built from plain integers
+        m = sample_uniform(20, 5, stream=1)
+        assert all(type(j) is int for j in m.partner)
+        rebuilt = from_pairs(m.pairs())
+        assert m == rebuilt and hash(m) == hash(rebuilt) and str(m) == str(rebuilt)
+
     def test_rough_uniformity_n2(self):
         counts = {"1-2,3-4": 0, "1-3,2-4": 0, "1-4,2-3": 0}
         draws = 6000
