@@ -48,7 +48,6 @@ __all__ = [
     "CltReport",
     "MgfEntry",
     "MgfReport",
-    "binomial",
     "polynomial_by_enumeration",
     "polynomial_by_gf",
     "gf_coefficient",
@@ -80,13 +79,6 @@ class BudgetError(RuntimeError):
         self.parameter = parameter
         self.value = value
         self.limit = limit
-
-
-def binomial(a: int, b: int) -> int:
-    """Exact binomial coefficient C(a, b); zero when b > a."""
-    if a < 0 or b < 0:
-        raise ValueError("binomial needs non-negative arguments")
-    return math.comb(a, b)
 
 
 @dataclass(frozen=True)
@@ -137,6 +129,10 @@ def gf_coefficient(n: int, m: int) -> int:
 
 @lru_cache(maxsize=16)
 def _gf_coeffs(n: int) -> tuple[int, ...]:
+    # Every exact-coefficient entry point comes through here, so the
+    # budget is enforced once, where the O(n^2) big-int work is done.
+    if n > COEFFICIENT_BUDGET:
+        raise BudgetError("n", n, COEFFICIENT_BUDGET)
     # The inner binomials depend only on k, so precompute both factor
     # tables; each c_m is then a short alternating convolution.
     binom_row = [math.comb(2 * n + 1, j) for j in range(2 * n + 2)]
@@ -161,6 +157,8 @@ def polynomial_by_gf(n: int) -> DescentPolynomial:
 
     Only k <= m contributes to c_m, so the infinite series truncates
     exactly; the vanishing of degrees 2n and 2n+1 is asserted on the way.
+    Raises BudgetError for n > COEFFICIENT_BUDGET, as does every function
+    built on these coefficients.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -169,8 +167,8 @@ def polynomial_by_gf(n: int) -> DescentPolynomial:
 
 @lru_cache(maxsize=16)
 def _exact_distribution(n: int) -> tuple[tuple[int, Fraction], ...]:
+    coeffs = _gf_coeffs(n)  # first: it enforces the budget before (2n-1)!! is built
     total = double_factorial(2 * n - 1)
-    coeffs = _gf_coeffs(n)
     return tuple((m, Fraction(c, total)) for m, c in enumerate(coeffs) if c)
 
 
@@ -189,8 +187,8 @@ def mgf_Wn(n: int, s: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > COEFFICIENT_BUDGET:
-        raise BudgetError("n", n, COEFFICIENT_BUDGET)
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     sqrt_n = math.sqrt(n)
     try:
         terms = [
@@ -269,8 +267,8 @@ def mgf_series_factor(n: int, s: float, k_max: int | None = None) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite, got {s}")
     log_prefactor = (2 * n + 1) * (math.log(s) - 0.5 * math.log(n)) - math.fsum(
         np.log(np.arange(1, 2 * n + 1, dtype=np.float64))
     )
@@ -310,8 +308,6 @@ def exact_ks_distance(n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > COEFFICIENT_BUDGET:
-        raise BudgetError("n", n, COEFFICIENT_BUDGET)
     sigma = math.sqrt(_TARGET_VAR)
     sqrt_n = math.sqrt(n)
     cum = 0.0

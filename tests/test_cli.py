@@ -1,6 +1,9 @@
 """Command-line surface: outputs, verdicts, and exit codes."""
 
 import json
+import re
+
+import pytest
 
 from matchstat.cli import main
 
@@ -253,3 +256,74 @@ class TestPlumbing:
         first = run(capsys, "clt", "--n", "20", "--samples", "200", "--seed", "5")
         second = run(capsys, "clt", "--n", "20", "--samples", "200", "--seed", "5")
         assert first == second
+
+
+# Every command, small inputs, with the header its csv output must start with.
+CONTRACT = [
+    (["stats", "--n", "4"], "field,closed_form,brute_force,verdict"),
+    (["poly", "--n", "3"], "m,count"),
+    (["conjugate", "--matching", "1-4,2-3,5-6"], "statistic,matching,conjugate"),
+    (["tableau", "--matching", "1-4,2-3,5-6"], "step,tableau_rows"),
+    (["tableau", "--random", "3", "--n", "5"], "n,seed,count,failures"),
+    (
+        ["clt", "--n", "10", "--samples", "50"],
+        "n,num_samples,seed,sample_mean_W,sample_var_W,ks_distance",
+    ),
+    (["mgf", "--n", "10,50", "--s", "1,2"], "n,s,mgf_value,target,abs_error"),
+    (["lemma41", "--n", "25,100"], "n,value,lower_bound,gap_to_limit"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv,header", CONTRACT, ids=[" ".join(a) for a, _ in CONTRACT])
+def test_every_command_renders_every_format(capsys, argv, header, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code in (0, 1) and err == ""
+    if fmt == "json":
+        json.loads(out)
+    elif fmt == "csv":
+        lines = out.splitlines()
+        assert lines[0] == header
+        assert all(line.count(",") == header.count(",") for line in lines)
+    else:
+        verdicts = re.findall(r"^.+: (PASS|FAIL)$", out, re.M)
+        assert verdicts
+        assert code == (1 if "FAIL" in verdicts else 0)
+
+
+# Inputs that must end in a usage error (2) or a budget error (3), never a traceback.
+BAD_INPUTS = [
+    (["mgf", "--n", "10", "--s", "1e6"], 2),  # exp overflows
+    (["mgf", "--n", "10", "--s", "nan"], 2),
+    (["mgf", "--n", "10", "--s", "1,inf"], 2),
+    (["mgf", "--n", "10,", "--s", "1"], 2),
+    (["lemma41", "--n", "25", "--s", "nan"], 2),
+    (["lemma41", "--n", "25", "--s", "inf"], 2),
+    (["lemma41", "--n", "25", "--s", "-1"], 2),
+    (["lemma41", "--n", "25", "--k-max", "8"], 2),
+    (["stats", "--n", "0"], 2),
+    (["poly", "--n", "2", "--frobnicate"], 2),
+    (["conjugate", "--matching", "1-1"], 2),
+    (["tableau", "--random", "5"], 2),
+    (["clt", "--n", "5", "--samples", "1"], 2),
+    (["clt", "--n", "5", "--seed", "18446744073709551616"], 2),
+    ([], 2),
+    (["poly", "--n", "501"], 3),
+    (["mgf", "--n", "600", "--s", "1"], 3),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", BAD_INPUTS, ids=[" ".join(a) or "(none)" for a, _ in BAD_INPUTS]
+)
+def test_bad_input_exit_code(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert out == "" and err and "Traceback" not in err
+
+
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "stats", "--n", "4", "--out", str(target))
+    assert code == 2 and out == ""
+    assert "No such file" in err and "Traceback" not in err

@@ -12,7 +12,6 @@ import pytest
 from matchstat import (
     BudgetError,
     DescentPolynomial,
-    binomial,
     closed_form_moments,
     clt_experiment,
     descent_stats,
@@ -28,18 +27,6 @@ from matchstat import (
     sample_uniform,
 )
 from matchstat.distribution import _descent_counts_range, _resolve_workers
-
-
-@pytest.mark.parametrize("a,b,expected", [(5, 2, 10), (4, 2, 6), (3, 5, 0), (0, 0, 1)])
-def test_binomial(a, b, expected):
-    assert binomial(a, b) == expected
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValueError):
-        binomial(-1, 2)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
 
 
 class TestPolynomials:
@@ -75,6 +62,12 @@ class TestPolynomials:
     def test_enumeration_budget(self):
         with pytest.raises(BudgetError, match="n=7"):
             polynomial_by_enumeration(7)
+
+    def test_coefficient_budget(self):
+        with pytest.raises(BudgetError, match="n=501"):
+            polynomial_by_gf(501)
+        with pytest.raises(BudgetError, match="n=501"):
+            exact_distribution(501)
 
     def test_coefficient_length_check(self):
         with pytest.raises(ValueError):
@@ -137,6 +130,11 @@ class TestMgf:
         with pytest.raises(BudgetError, match="n=501"):
             mgf_Wn(501, 1.0)
 
+    def test_rejects_non_finite_s(self):
+        for s in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                mgf_Wn(10, s)
+
     def test_report_entries_and_json(self):
         report = mgf_convergence_report([10, 50], [1.0])
         assert [e.n for e in report.entries] == [10, 50]
@@ -174,6 +172,12 @@ class TestSeriesFactor:
             mgf_series_factor(10, 0.0)
         with pytest.raises(ValueError):
             mgf_series_factor(10, -1.0)
+
+    def test_rejects_non_finite_s(self):
+        # NaN used to pass the s <= 0 test and double the truncation forever
+        for s in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                mgf_series_factor(25, s)
 
 
 class TestExactKs:
