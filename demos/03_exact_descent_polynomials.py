@@ -1,7 +1,8 @@
 """Exact descent-count polynomials from the generating function.
 
 The coefficient c_m counts matchings of S_{2n} with exactly m descents.
-An alternating binomial convolution produces every c_m in exact integer
+Multiplying the series sum_k C(k(k+1)/2 + n - 1, n) t^k by (1 - t)^(2n+1),
+one first difference at a time, produces every c_m in exact integer
 arithmetic, for n far beyond what enumeration can reach; for small n the
 two routes must agree coefficient for coefficient.
 """
@@ -12,6 +13,7 @@ from matchstat import (
     polynomial_by_enumeration,
     polynomial_by_gf,
 )
+from matchstat.cli import main
 
 # ---------------------------------------------------------------------
 # Both routes, side by side, for n = 3.
@@ -47,5 +49,5 @@ dist = exact_distribution(n)
 mode = max(dist, key=lambda mp: mp[1])
 print(f"n={n}: support {dist[0][0]}..{dist[-1][0]}, mode at m={mode[0]} "
       f"with probability {float(mode[1]):.4f}")
-print("CSV emission of the polynomial:")
-print(polynomial_by_gf(2).to_csv())
+print("CSV emission of the polynomial (matchstat poly --n 2 --format csv):")
+assert main(["poly", "--n", "2", "--format", "csv"]) == 0

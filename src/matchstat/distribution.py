@@ -1,17 +1,18 @@
 """Exact descent-count distributions and normal-limit diagnostics.
 
-The number of matchings of S_{2n} with exactly m descents is extracted
-from a generating-function identity as an alternating binomial
-convolution, evaluated in exact integer arithmetic:
+The number c_m of matchings of S_{2n} with exactly m descents is the
+coefficient of t^m in a generating-function identity,
 
-    c_m = sum_{k=0}^{m} (-1)^(m-k) C(2n+1, m-k) C(k(k+1)/2 + n - 1, n).
+    sum_m c_m t^m = (1 - t)^(2n+1) * sum_k C(k(k+1)/2 + n - 1, n) t^k,
 
-Coefficients beyond degree 2n-1 vanish (asserted for 2n and 2n+1 on
-every computation).  On top of the exact distribution sit the
-diagnostics for convergence of the normalized descent count
-W = (D - n)/sqrt(n) to N(0, 1/6): pointwise MGF values against
-exp(s^2/12), a deterministic Kolmogorov-Smirnov distance, a Monte Carlo
-experiment, and the series factor of the MGF whose limit is 1.
+evaluated in exact integer arithmetic by taking first differences of
+the series 2n+1 times (subtraction only).  Coefficients beyond degree
+2n-1 vanish (asserted for 2n and 2n+1 on every computation).  On top of
+the exact distribution sit the diagnostics for convergence of the
+normalized descent count W = (D - n)/sqrt(n) to N(0, 1/6): pointwise
+MGF values against exp(s^2/12), a deterministic Kolmogorov-Smirnov
+distance, a Monte Carlo experiment, and the series factor of the MGF
+whose limit is 1.
 
 Numerical care: probabilities are converted from exact rationals one at
 a time (correctly rounded, relative error <= 2^-53), MGF sums use
@@ -43,6 +44,7 @@ from .matchings import (
 __all__ = [
     "ENUMERATION_BUDGET",
     "COEFFICIENT_BUDGET",
+    "SERIES_BUDGET",
     "BudgetError",
     "DescentPolynomial",
     "CltReport",
@@ -50,7 +52,6 @@ __all__ = [
     "MgfReport",
     "polynomial_by_enumeration",
     "polynomial_by_gf",
-    "gf_coefficient",
     "exact_distribution",
     "mgf_Wn",
     "mgf_convergence_report",
@@ -64,6 +65,9 @@ ENUMERATION_BUDGET = 6
 
 #: Largest n for which exact coefficients are computed on demand.
 COEFFICIENT_BUDGET = 500
+
+#: Largest max(n, 16) * (number of terms) one pass of the MGF series factor may take.
+SERIES_BUDGET = 2**28
 
 _TARGET_VAR = 1.0 / 6.0
 _EVENNESS_TOL = 1e-12
@@ -95,12 +99,6 @@ class DescentPolynomial:
     def total(self) -> int:
         return sum(self.coeffs)
 
-    def to_csv(self) -> str:
-        """CSV emission with header "m,count"; zero rows are omitted."""
-        lines = ["m,count"]
-        lines += [f"{m},{c}" for m, c in enumerate(self.coeffs) if c]
-        return "\n".join(lines) + "\n"
-
 
 def polynomial_by_enumeration(n: int) -> DescentPolynomial:
     """Exact descent-count histogram over all (2n-1)!! matchings."""
@@ -114,49 +112,31 @@ def polynomial_by_enumeration(n: int) -> DescentPolynomial:
     return DescentPolynomial(n, tuple(coeffs))
 
 
-def gf_coefficient(n: int, m: int) -> int:
-    """One coefficient of the generating-function expansion, any degree."""
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
-    total = 0
-    for k in range(m + 1):
-        b = math.comb(2 * n + 1, m - k)
-        if b:
-            term = b * math.comb(k * (k + 1) // 2 + n - 1, n)
-            total += -term if (m - k) & 1 else term
-    return total
-
-
 @lru_cache(maxsize=16)
 def _gf_coeffs(n: int) -> tuple[int, ...]:
     # Every exact-coefficient entry point comes through here, so the
     # budget is enforced once, where the O(n^2) big-int work is done.
     if n > COEFFICIENT_BUDGET:
         raise BudgetError("n", n, COEFFICIENT_BUDGET)
-    # The inner binomials depend only on k, so precompute both factor
-    # tables; each c_m is then a short alternating convolution.
-    binom_row = [math.comb(2 * n + 1, j) for j in range(2 * n + 2)]
-    g = [math.comb(k * (k + 1) // 2 + n - 1, n) for k in range(2 * n + 2)]
-
-    def coeff(m: int) -> int:
-        total = 0
-        for k in range(m + 1):
-            term = binom_row[m - k] * g[k]
-            total += -term if (m - k) & 1 else term
-        return total
-
-    coeffs = tuple(coeff(m) for m in range(2 * n))
+    # Multiply sum_k g_k t^k by (1 - t) 2n+1 times, truncated at degree
+    # 2n+1; going down in k lets each pass overwrite the series in place.
+    c = [math.comb(k * (k + 1) // 2 + n - 1, n) for k in range(2 * n + 2)]
+    for _ in range(2 * n + 1):
+        for k in range(2 * n + 1, 0, -1):
+            c[k] -= c[k - 1]
     for m in (2 * n, 2 * n + 1):
-        if coeff(m) != 0:
+        if c[m] != 0:
             raise ArithmeticError(f"coefficient at degree {m} did not vanish")
-    return coeffs
+    return tuple(c[: 2 * n])
 
 
 def polynomial_by_gf(n: int) -> DescentPolynomial:
     """Exact descent-count coefficients from the generating function.
 
-    Only k <= m contributes to c_m, so the infinite series truncates
-    exactly; the vanishing of degrees 2n and 2n+1 is asserted on the way.
+    c_m is the coefficient of t^m in (1 - t)^(2n+1) * sum_k g_k t^k with
+    g_k = C(k(k+1)/2 + n - 1, n); only k <= m contributes to it, so the
+    series is cut at degree 2n+1 and differenced 2n+1 times.  The vanishing
+    of degrees 2n and 2n+1 is asserted on the way.
     Raises BudgetError for n > COEFFICIENT_BUDGET, as does every function
     built on these coefficients.
     """
@@ -256,14 +236,15 @@ def mgf_convergence_report(
     return MgfReport(tuple(entries))
 
 
-def mgf_series_factor(n: int, s: float, k_max: int | None = None) -> float:
+def mgf_series_factor(n: int, s: float) -> float:
     """The series factor of the normalized-descent MGF; its limit is 1.
 
     Evaluates (s/sqrt(n))^(2n+1) / (2n)! * sum_k prod_{j<n} (k^2+k+2j)
     * exp(-k s / sqrt(n)) in log space: the product becomes a sum of
     logarithms of exact integers, and the outer sum is a log-sum-exp.
-    ``k_max`` seeds the truncation point; it is doubled until the last
-    term's log magnitude falls below -40 nats.
+    The sum starts at 1024 terms and doubles until the last term's log
+    magnitude falls below -40 nats.  A pass over n factors and k_hi terms
+    raises BudgetError when max(n, 16) * k_hi exceeds SERIES_BUDGET.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -273,10 +254,13 @@ def mgf_series_factor(n: int, s: float, k_max: int | None = None) -> float:
         np.log(np.arange(1, 2 * n + 1, dtype=np.float64))
     )
     decay = s / math.sqrt(n)
-    k_hi = k_max if k_max is not None else 1024
-    if k_hi < 1:
-        raise ValueError("k_max must be >= 1")
+    k_hi = 1024
     while True:
+        # A pass also holds a few k_hi-float arrays whatever n is, so a
+        # small n is charged as 16: that caps them at 2^24 floats each.
+        work = max(n, 16) * k_hi
+        if work > SERIES_BUDGET:
+            raise BudgetError("max(n,16)*terms", work, SERIES_BUDGET)
         # term for k = 0 is exactly zero (the j = 0 factor vanishes)
         k = np.arange(1, k_hi + 1, dtype=np.float64)
         log_terms = np.full(k_hi, log_prefactor)

@@ -26,7 +26,6 @@ from matchstat import (
     enumerate_matchings,
     exact_ks_distance,
     from_pairs,
-    gf_coefficient,
     matching_to_oscillating,
     mgf_convergence_report,
     mgf_series_factor,
@@ -35,6 +34,8 @@ from matchstat import (
     row_insert,
     sample_uniform,
 )
+
+from gf_oracle import gf_coefficient
 
 SEED = 42
 

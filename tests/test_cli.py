@@ -310,6 +310,7 @@ BAD_INPUTS = [
     ([], 2),
     (["poly", "--n", "501"], 3),
     (["mgf", "--n", "600", "--s", "1"], 3),
+    (["lemma41", "--n", "300000"], 3),
 ]
 
 

@@ -18,7 +18,6 @@ from matchstat import (
     double_factorial,
     exact_distribution,
     exact_ks_distance,
-    gf_coefficient,
     mgf_convergence_report,
     mgf_series_factor,
     mgf_Wn,
@@ -27,6 +26,8 @@ from matchstat import (
     sample_uniform,
 )
 from matchstat.distribution import _descent_counts_range, _resolve_workers
+
+from gf_oracle import gf_coefficient
 
 
 class TestPolynomials:
@@ -49,8 +50,13 @@ class TestPolynomials:
     def test_gf_matches_enumeration(self, n):
         assert polynomial_by_gf(n).coeffs == polynomial_by_enumeration(n).coeffs
 
+    def test_gf_matches_direct_convolution(self):
+        for n in range(1, 41):
+            coeffs = polynomial_by_gf(n).coeffs
+            assert list(coeffs) == [gf_coefficient(n, m) for m in range(2 * n)]
+
     def test_high_degree_coefficients_vanish(self):
-        for n in (1, 2, 5, 9):
+        for n in range(1, 41):
             assert gf_coefficient(n, 2 * n) == 0
             assert gf_coefficient(n, 2 * n + 1) == 0
             assert gf_coefficient(n, 2 * n - 1) >= 1
@@ -72,9 +78,6 @@ class TestPolynomials:
     def test_coefficient_length_check(self):
         with pytest.raises(ValueError):
             DescentPolynomial(2, (0, 1, 1))
-
-    def test_csv_emission(self):
-        assert polynomial_by_gf(2).to_csv() == "m,count\n1,1\n2,1\n3,1\n"
 
 
 class TestExactDistribution:
@@ -162,10 +165,33 @@ class TestSeriesFactor:
         gaps = [abs(mgf_series_factor(n, 1.0) - 1.0) for n in (25, 100)]
         assert gaps[0] > gaps[1]
 
-    def test_truncation_is_insensitive_to_k_max_seed(self):
-        a = mgf_series_factor(100, 1.0, k_max=2)
-        b = mgf_series_factor(100, 1.0, k_max=65536)
-        assert a == pytest.approx(b, rel=1e-9)
+    def test_truncation_against_direct_sum_at_n5(self):
+        # (1/sqrt 5)^11 / 10! * sum_k prod_{j<5} (k^2+k+2j) exp(-k/sqrt 5);
+        # the terms peak near k = 22 and are below 1e-60 of it by k = 400
+        n, decay = 5, 1 / math.sqrt(5)
+        terms = [
+            math.prod(k * k + k + 2 * j for j in range(n)) * math.exp(-decay * k)
+            for k in range(401)
+        ]
+        direct = decay ** (2 * n + 1) / math.factorial(2 * n) * math.fsum(terms)
+        assert mgf_series_factor(n, 1.0) == pytest.approx(direct, rel=1e-12)
+
+    def test_series_budget_limit(self, monkeypatch):
+        # n = 25, s = 1 stops after one pass of 1024 terms: 25 * 1024 = 25600
+        expected = mgf_series_factor(25, 1.0)
+        monkeypatch.setattr("matchstat.distribution.SERIES_BUDGET", 25600)
+        assert mgf_series_factor(25, 1.0) == expected
+        monkeypatch.setattr("matchstat.distribution.SERIES_BUDGET", 25599)
+        with pytest.raises(BudgetError, match=r"max\(n,16\)\*terms=25600"):
+            mgf_series_factor(25, 1.0)
+
+    def test_series_budget_stops_tiny_s(self, monkeypatch):
+        # small n is charged as n = 16, so a tiny s cannot grow the arrays
+        # to SERIES_BUDGET floats; 2**20 / 16 allows 65536 terms at most
+        monkeypatch.setattr("matchstat.distribution.SERIES_BUDGET", 2**20)
+        assert mgf_series_factor(1, 0.01) > 0
+        with pytest.raises(BudgetError, match="terms=2097152"):
+            mgf_series_factor(1, 1e-9)
 
     def test_rejects_bad_s(self):
         with pytest.raises(ValueError):
