@@ -6,6 +6,11 @@ the minimum of the working tableau) with a hole slide.  The recorded
 shape walk starts and ends at the empty partition and moves by one box
 per step; it determines the matching uniquely.
 
+A walk is held by its 2n steps, the box each one adds or removes; the
+forward map and the inverse run them on one working tableau, changed in
+place.  Conjugating a shape transposes its diagram, so the conjugate
+walk swaps row and column in every step.
+
 Conjugating every shape of the walk is an involution on matchings.  Under
 it the descent number reflects about n + 1 and the major index about n^2,
 which is checked here through a six-way classification of each position
@@ -14,7 +19,7 @@ by the local shape pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -23,13 +28,14 @@ from .tableaux import (
     Box,
     Partition,
     Tableau,
+    _insert,
+    _slide,
+    _unbump,
+    _unslide,
     added_box,
-    conjugate_partition,
     delete_min_and_slide,
     parse_partition,
     removed_box,
-    reverse_row_insert,
-    reverse_slide_and_place_min,
     row_insert,
 )
 
@@ -48,11 +54,23 @@ __all__ = [
 ]
 
 
+class TraceStep(NamedTuple):
+    """The box touched at one step and whether it was added or removed."""
+
+    box: Box
+    insertion: bool
+
+
 @dataclass(frozen=True)
 class OscillatingTableau:
-    """A walk of 2n+1 partitions: empty endpoints, one-box steps."""
+    """A walk of 2n+1 partitions: empty endpoints, one-box steps.
+
+    ``steps[i - 1]`` is the box added or removed between shapes i-1 and
+    i; validation derives them and equality compares the shapes only.
+    """
 
     shapes: tuple[Partition, ...]
+    steps: tuple[TraceStep, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shapes = self.shapes
@@ -60,16 +78,19 @@ class OscillatingTableau:
             raise ValueError("a walk of length 2n needs 2n+1 shapes, n >= 1")
         if shapes[0].parts or shapes[-1].parts:
             raise ValueError("the walk must start and end at the empty shape")
+        sizes = [p.size for p in shapes]
+        steps = []
         for idx in range(1, len(shapes)):
             a, b = shapes[idx - 1], shapes[idx]
-            if b.size == a.size + 1:
-                added_box(a, b)
-            elif b.size == a.size - 1:
-                removed_box(a, b)
+            if sizes[idx] == sizes[idx - 1] + 1:
+                steps.append(TraceStep(added_box(a, b), True))
+            elif sizes[idx] == sizes[idx - 1] - 1:
+                steps.append(TraceStep(removed_box(a, b), False))
             else:
                 raise ValueError(
                     f"shapes {idx - 1} and {idx} do not differ by one box"
                 )
+        object.__setattr__(self, "steps", tuple(steps))
 
     @property
     def n(self) -> int:
@@ -90,81 +111,129 @@ def parse_oscillating(text: str) -> OscillatingTableau:
     )
 
 
-class TraceStep(NamedTuple):
-    """The box touched at one step and whether it was added or removed."""
-
-    box: Box
-    insertion: bool
-
-
-@dataclass(frozen=True)
 class BijectionTrace:
-    """The working tableaux P_0..P_{2n} alongside the per-step boxes."""
+    """The working tableaux P_0..P_{2n} alongside the per-step boxes.
 
-    tableaux: tuple[Tableau, ...]
-    steps: tuple[TraceStep, ...]
+    The forward map gives its matching instead of the tableaux: they are
+    built on first access, by replaying ``row_insert`` and
+    ``delete_min_and_slide``, so every snapshot is a validated
+    ``Tableau`` and only a caller that reads them pays for them.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.tableaux) != len(self.steps) + 1:
+    def __init__(
+        self, tableaux: tuple[Tableau, ...], steps: tuple[TraceStep, ...]
+    ) -> None:
+        if len(tableaux) != len(steps) + 1:
             raise ValueError("need one tableau more than steps")
+        self._tableaux: tuple[Tableau, ...] | None = tuple(tableaux)
+        self._matching: Matching | None = None
+        self.steps = tuple(steps)
+
+    @classmethod
+    def _replaying(cls, m: Matching, steps: tuple[TraceStep, ...]) -> BijectionTrace:
+        trace = cls.__new__(cls)
+        trace._tableaux, trace._matching, trace.steps = None, m, steps
+        return trace
+
+    @property
+    def tableaux(self) -> tuple[Tableau, ...]:
+        if self._tableaux is None:
+            tab = Tableau()
+            tableaux = [tab]
+            partner = self._matching.partner
+            for (i, j), step in zip(enumerate(partner, start=1), self.steps):
+                if i < j:
+                    tab, route = row_insert(tab, j)
+                    box = route.new_box
+                else:
+                    tab, box = delete_min_and_slide(tab)
+                if box != step.box:
+                    raise RuntimeError(f"defect: step {i} replays to {tuple(box)}")
+                tableaux.append(tab)
+            self._tableaux = tuple(tableaux)
+        return self._tableaux
 
 
-def matching_to_oscillating(m: Matching) -> tuple[OscillatingTableau, BijectionTrace]:
-    """Map a matching to its shape walk, keeping the full trace."""
-    tab = Tableau()
-    tableaux = [tab]
+def _walk(m: Matching) -> list[TraceStep]:
+    """The forward map's 2n steps, taken on one working tableau."""
+    rows: list[list[int]] = []
     steps = []
-    shapes = [Partition()]
-    for i in range(1, m.size + 1):
-        j = m.partner_of(i)
+    for i, j in enumerate(m.partner, start=1):
         if i < j:
-            tab, route = row_insert(tab, j)
-            steps.append(TraceStep(route.new_box, True))
+            cols = _insert(rows, j)
+            steps.append(TraceStep(Box(len(cols), cols[-1] + 1), True))
         else:
-            if not tab.rows or tab.rows[0][0] != i:
+            if not rows or rows[0][0] != i:
                 raise RuntimeError(
                     f"defect: {i} is not the minimum of the working tableau"
                 )
-            tab, vacated = delete_min_and_slide(tab)
-            steps.append(TraceStep(vacated, False))
-        tableaux.append(tab)
-        shapes.append(tab.shape)
-    osc = OscillatingTableau(tuple(shapes))
-    return osc, BijectionTrace(tuple(tableaux), tuple(steps))
+            steps.append(TraceStep(_slide(rows), False))
+    return steps
 
 
-def oscillating_to_matching(t: OscillatingTableau) -> Matching:
-    """Invert the shape walk back to its matching.
+def _unwalk(steps) -> Matching:
+    """Invert a walk given by its steps back to its matching.
 
     Steps are processed from 2n down to 1: an added box is undone by a
     reverse insertion (the ejected value is the partner of the step
     index), a removed box by a reverse slide that puts the step index
-    back at (1,1).
+    back at (1,1).  Each box must be a removable or addable corner of
+    the working tableau's shape.
     """
-    shapes = t.shapes
+    rows: list[list[int]] = []
     pairs = []
-    tab = Tableau()
-    for i in range(t.length, 0, -1):
-        before, after = shapes[i - 1], shapes[i]
-        if after.size > before.size:
-            tab, ejected = reverse_row_insert(tab, added_box(before, after))
-            pairs.append((i, ejected))
+    for i in range(len(steps), 0, -1):
+        box, insertion = steps[i - 1]
+        if insertion:
+            pairs.append((i, _unbump(rows, box)))
         else:
-            tab = reverse_slide_and_place_min(tab, removed_box(before, after), i)
-    if tab.rows:
+            _unslide(rows, box, i)
+    if rows:
         raise RuntimeError("defect: walk inversion left a nonempty tableau")
     return from_pairs(pairs)
 
 
+def _transpose(steps) -> list[TraceStep]:
+    """The steps of the conjugate walk: each box reflected across the diagonal."""
+    return [TraceStep(Box(box.col, box.row), insertion) for box, insertion in steps]
+
+
+def _shapes(steps) -> tuple[Partition, ...]:
+    """The shapes of a walk from the empty shape, one row length changing per step."""
+    lengths: list[int] = []
+    shapes = [Partition()]
+    for (row, _), insertion in steps:
+        if not insertion:
+            lengths[row - 1] -= 1
+            if not lengths[row - 1]:
+                del lengths[row - 1]
+        elif row > len(lengths):
+            lengths.append(1)
+        else:
+            lengths[row - 1] += 1
+        shapes.append(Partition(tuple(lengths)))
+    return tuple(shapes)
+
+
+def matching_to_oscillating(m: Matching) -> tuple[OscillatingTableau, BijectionTrace]:
+    """Map a matching to its shape walk, keeping the full trace."""
+    steps = tuple(_walk(m))
+    return OscillatingTableau(_shapes(steps)), BijectionTrace._replaying(m, steps)
+
+
+def oscillating_to_matching(t: OscillatingTableau) -> Matching:
+    """Invert the shape walk back to its matching."""
+    return _unwalk(t.steps)
+
+
 def conjugate_oscillating(t: OscillatingTableau) -> OscillatingTableau:
     """Conjugate every shape of the walk; involutive."""
-    return OscillatingTableau(tuple(conjugate_partition(p) for p in t.shapes))
+    return OscillatingTableau(_shapes(_transpose(t.steps)))
 
 
 def conjugate_matching(m: Matching) -> Matching:
     """The involution induced by conjugating the shape walk."""
-    osc, _ = matching_to_oscillating(m)
-    return oscillating_to_matching(conjugate_oscillating(osc))
+    return _unwalk(_transpose(_walk(m)))
 
 
 class PositionCase(IntEnum):
@@ -191,26 +260,22 @@ DESCENT_CASES = frozenset(
 
 
 def classify_position(t: OscillatingTableau, i: int) -> PositionCase:
-    """Classify position i in 1..2n-1 from three consecutive shapes.
+    """Classify position i in 1..2n-1 from the two steps around it.
 
-    The added/removed boxes are read off the shape differences, so the
+    The steps are the boxes the walk adds or removes, so the
     classification needs no tableau trace.
     """
     if not 1 <= i <= t.length - 1:
         raise ValueError(f"position {i} out of range 1..{t.length - 1}")
-    a, b, c = t.shapes[i - 1], t.shapes[i], t.shapes[i + 1]
-    rise1 = b.size > a.size
-    rise2 = c.size > b.size
+    (first, rise1), (second, rise2) = t.steps[i - 1], t.steps[i]
     if rise1 and not rise2:
         return PositionCase.PEAK
     if not rise1 and rise2:
         return PositionCase.VALLEY
-    if rise1 and rise2:
-        first, second = added_box(a, b), added_box(b, c)
+    if rise1:
         if second.row > first.row:
             return PositionCase.DOUBLE_RISE_LOWER
         return PositionCase.DOUBLE_RISE_HIGHER
-    first, second = removed_box(a, b), removed_box(b, c)
     if first.row > second.row:
         return PositionCase.DOUBLE_FALL_LOWER
     return PositionCase.DOUBLE_FALL_HIGHER

@@ -34,6 +34,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .matchings import (
+    BudgetError,
+    _check_sample_budget,
     _random_partner,
     _rng_for,
     descent_stats,
@@ -71,18 +73,6 @@ SERIES_BUDGET = 2**28
 
 _TARGET_VAR = 1.0 / 6.0
 _EVENNESS_TOL = 1e-12
-
-
-class BudgetError(RuntimeError):
-    """A request exceeded a documented computational budget."""
-
-    def __init__(self, parameter: str, value: int, limit: int):
-        super().__init__(
-            f"{parameter}={value} exceeds the budget {parameter} <= {limit}"
-        )
-        self.parameter = parameter
-        self.value = value
-        self.limit = limit
 
 
 @dataclass(frozen=True)
@@ -365,12 +355,14 @@ def clt_experiment(
     count, which is further capped at the number of cores.  Reports the
     sample mean and variance of W and the KS distance, with both
     one-sided gaps measured at every sample lattice point.  The sample
-    variance needs ``num_samples >= 2``.
+    variance needs ``num_samples >= 2``; n > SAMPLE_BUDGET raises
+    BudgetError before any draw.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if num_samples < 2:
         raise ValueError("num_samples must be >= 2")
+    _check_sample_budget(n)
     workers = _resolve_workers(threads)
     if workers == 1 or num_samples < 4 * workers:
         counts = _descent_counts_range(n, seed, 0, num_samples)

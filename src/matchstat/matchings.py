@@ -17,6 +17,8 @@ from typing import ClassVar, Iterable, Iterator
 import numpy as np
 
 __all__ = [
+    "SAMPLE_BUDGET",
+    "BudgetError",
     "Matching",
     "DescentStats",
     "MomentReport",
@@ -32,6 +34,22 @@ __all__ = [
 ]
 
 _UINT64_MAX = 2**64 - 1
+
+#: Largest n for which a matching of 2n letters is drawn at random; one
+#: draw at this n holds about 100 MB.
+SAMPLE_BUDGET = 2**20
+
+
+class BudgetError(RuntimeError):
+    """A request exceeded a documented computational budget."""
+
+    def __init__(self, parameter: str, value: int, limit: int):
+        super().__init__(
+            f"{parameter}={value} exceeds the budget {parameter} <= {limit}"
+        )
+        self.parameter = parameter
+        self.value = value
+        self.limit = limit
 
 
 def double_factorial(m: int) -> int:
@@ -190,6 +208,12 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
     )
 
 
+def _check_sample_budget(n: int) -> None:
+    # Called once per request, before any draw or worker pool.
+    if n > SAMPLE_BUDGET:
+        raise BudgetError("n", n, SAMPLE_BUDGET)
+
+
 def _random_partner(n: int, rng: np.random.Generator) -> np.ndarray:
     # Shuffle the letters 1..2n and pair neighbours: letters perm[2t] and
     # perm[2t+1] form the t-th block (uniform; see sample_uniform).
@@ -208,10 +232,12 @@ def sample_uniform(n: int, seed: int, stream: int = 0) -> Matching:
     2^n * n! of the (2n)! permutations (order its n blocks, then orient
     each block).  Deterministic for fixed (seed, stream); distinct
     streams give independent sequences, so callers may parallelize by
-    assigning one stream per draw.
+    assigning one stream per draw.  Raises BudgetError for
+    n > SAMPLE_BUDGET.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_sample_budget(n)
     return Matching(tuple(_random_partner(n, _rng_for(seed, stream)).tolist()))
 
 

@@ -9,8 +9,14 @@ operations have exact inverses here; the reverse slide direction (the
 larger of the upper and left neighbours moves in) is validated by
 round-trip tests, which are the binding contract.
 
-All values are immutable; every constructed ``Tableau`` re-checks its
-row/column ordering invariants.
+Each operation is implemented once, in place on a working tableau held
+as a list of row lists (``_insert``, ``_unbump``, ``_slide``,
+``_unslide``), so the bijection can run 2n steps on one tableau.  After
+writing, an operation re-checks row and column order only at the cells
+it wrote, against their neighbours: O(route) work that, applied to a
+valid tableau, keeps it valid.  The public functions copy an immutable
+``Tableau``, apply the in-place operation and freeze the result, and
+every constructed ``Tableau`` re-checks all of its invariants.
 """
 
 from __future__ import annotations
@@ -161,6 +167,145 @@ def _freeze(rows: list[list[int]]) -> Tableau:
     return Tableau(tuple(tuple(row) for row in rows))
 
 
+def _thaw(t: Tableau) -> list[list[int]]:
+    return [list(row) for row in t.rows]
+
+
+def _shape(rows: list[list[int]]) -> Partition:
+    return Partition(tuple(len(row) for row in rows))
+
+
+def _check_cells(rows: list[list[int]], cells) -> None:
+    """Check each written cell (0-indexed) against its four neighbours.
+
+    Only a pair of neighbours with a written cell in it can have changed,
+    so on a tableau that was valid before the write, checking those pairs
+    and that the cell above each written cell exists re-establishes the
+    order and shape invariants ``Tableau`` checks, in O(len(cells)).  The
+    operations write only the positive entry they were given or entries
+    they moved, and delete only corners.
+    """
+    height = len(rows)
+    for r, c in cells:
+        row = rows[r]
+        x = row[c]
+        if (c and row[c - 1] > x) or (c + 1 < len(row) and x > row[c + 1]):
+            raise ValueError("rows must be weakly increasing")
+        if r:
+            above = rows[r - 1]
+            if c >= len(above):
+                raise ValueError("row lengths must be weakly decreasing")
+            if above[c] >= x:
+                raise ValueError("columns must be strictly increasing")
+        if r + 1 < height:
+            below = rows[r + 1]
+            if c < len(below) and below[c] <= x:
+                raise ValueError("columns must be strictly increasing")
+
+
+def _insert(rows: list[list[int]], x: int) -> list[int]:
+    """Row-insert x in place; return the route's column (0-indexed) in each row."""
+    if x < 1:
+        raise ValueError(f"entries must be positive, got {x}")
+    cols = []
+    value = x
+    for row in rows:
+        pos = bisect_right(row, value)
+        cols.append(pos)
+        if pos == len(row):
+            row.append(value)
+            break
+        row[pos], value = value, row[pos]
+    else:
+        rows.append([value])
+        cols.append(0)
+    _check_cells(rows, enumerate(cols))
+    return cols
+
+
+def _unbump(rows: list[list[int]], b: Box) -> int:
+    """Reverse row insertion in place from the removable corner ``b``."""
+    r, c = b.row - 1, b.col - 1
+    if (
+        not 0 <= r < len(rows)
+        or c != len(rows[r]) - 1
+        or (r + 1 < len(rows) and len(rows[r + 1]) > c)
+    ):
+        raise ValueError(
+            f"{tuple(b)} is not a removable corner of shape {_shape(rows)}"
+        )
+    value = rows[r].pop()
+    if not rows[r]:
+        del rows[r]
+    cells = []
+    for k in range(r - 1, -1, -1):
+        row = rows[k]
+        # the rightmost entry strictly smaller than the travelling value
+        # is the one that bumped it; swap them back (idx is -1, the last
+        # cell, only in a tableau whose columns are out of order)
+        idx = bisect_left(row, value) - 1
+        row[idx], value = value, row[idx]
+        cells.append((k, idx % len(row)))
+    _check_cells(rows, cells)
+    return value
+
+
+def _slide(rows: list[list[int]]) -> Box:
+    """Remove (1,1) in place and slide the hole out; return the vacated corner."""
+    if not rows:
+        raise ValueError("cannot delete from an empty tableau")
+    cells = []
+    r = c = 0
+    while True:
+        row = rows[r]
+        right = row[c + 1] if c + 1 < len(row) else None
+        below = rows[r + 1][c] if r + 1 < len(rows) and c < len(rows[r + 1]) else None
+        if right is None and below is None:
+            break
+        cells.append((r, c))
+        if below is None or (right is not None and right < below):
+            row[c] = right
+            c += 1
+        else:
+            row[c] = below
+            r += 1
+    rows[r].pop()
+    if not rows[r]:
+        del rows[r]
+    _check_cells(rows, cells)
+    return Box(r + 1, c + 1)
+
+
+def _unslide(rows: list[list[int]], corner: Box, v: int) -> None:
+    """Reverse slide in place from the addable ``corner``, then write v at (1,1)."""
+    if v < 1:
+        raise ValueError(f"entries must be positive, got {v}")
+    if rows and rows[0][0] <= v:
+        raise ValueError(f"{v} is not strictly smaller than every entry")
+    r, c = corner.row - 1, corner.col - 1
+    if r == len(rows) and c == 0:
+        rows.append([0])
+    elif 0 <= r < len(rows) and c == len(rows[r]) and (r == 0 or len(rows[r - 1]) > c):
+        rows[r].append(0)
+    else:
+        raise ValueError(
+            f"{tuple(corner)} is not an addable corner of shape {_shape(rows)}"
+        )
+    cells = [(r, c)]
+    while (r, c) != (0, 0):
+        above = rows[r - 1][c] if r > 0 else None
+        left = rows[r][c - 1] if c > 0 else None
+        if left is None or (above is not None and above >= left):
+            rows[r][c] = above
+            r -= 1
+        else:
+            rows[r][c] = left
+            c -= 1
+        cells.append((r, c))
+    rows[0][0] = v
+    _check_cells(rows, cells)
+
+
 def row_insert(t: Tableau, x: int) -> tuple[Tableau, BumpingRoute]:
     """Insert x by row bumping; the shape gains exactly one box.
 
@@ -168,23 +313,9 @@ def row_insert(t: Tableau, x: int) -> tuple[Tableau, BumpingRoute]:
     larger entry sat (that entry moves on to the next row), or at the end
     of the row if nothing is larger, which closes the route.
     """
-    if x < 1:
-        raise ValueError(f"entries must be positive, got {x}")
-    rows = [list(r) for r in t.rows]
-    boxes = []
-    value = x
-    for r, row in enumerate(rows):
-        pos = bisect_right(row, value)
-        boxes.append(Box(r + 1, pos + 1))
-        if pos == len(row):
-            row.append(value)
-            break
-        row[pos], value = value, row[pos]
-    else:
-        rows.append([value])
-        boxes.append(Box(len(rows), 1))
-    route = BumpingRoute(tuple(boxes), boxes[-1])
-    return _freeze(rows), route
+    rows = _thaw(t)
+    boxes = tuple(Box(r + 1, c + 1) for r, c in enumerate(_insert(rows, x)))
+    return _freeze(rows), BumpingRoute(boxes, boxes[-1])
 
 
 def reverse_row_insert(t: Tableau, b: Box) -> tuple[Tableau, int]:
@@ -194,23 +325,8 @@ def reverse_row_insert(t: Tableau, b: Box) -> tuple[Tableau, int]:
     ``row_insert(smaller, ejected)`` reproduces ``t`` with a route ending
     at ``b``.  ``b`` must be a removable corner.
     """
-    rows = [list(r) for r in t.rows]
-    r, c = b.row - 1, b.col - 1
-    if (
-        not 0 <= r < len(rows)
-        or c != len(rows[r]) - 1
-        or (r + 1 < len(rows) and len(rows[r + 1]) > c)
-    ):
-        raise ValueError(f"{tuple(b)} is not a removable corner of shape {t.shape}")
-    value = rows[r].pop()
-    if not rows[r]:
-        del rows[r]
-    for k in range(r - 1, -1, -1):
-        row = rows[k]
-        # the rightmost entry strictly smaller than the travelling value
-        # is the one that bumped it; swap them back
-        idx = bisect_left(row, value) - 1
-        row[idx], value = value, row[idx]
+    rows = _thaw(t)
+    value = _unbump(rows, b)
     return _freeze(rows), value
 
 
@@ -220,25 +336,9 @@ def delete_min_and_slide(t: Tableau) -> tuple[Tableau, Box]:
     Returns the new tableau and the vacated outside corner; the shape
     loses exactly one box.
     """
-    if not t.rows:
-        raise ValueError("cannot delete from an empty tableau")
-    rows = [list(r) for r in t.rows]
-    r = c = 0
-    while True:
-        right = rows[r][c + 1] if c + 1 < len(rows[r]) else None
-        below = rows[r + 1][c] if r + 1 < len(rows) and c < len(rows[r + 1]) else None
-        if right is None and below is None:
-            break
-        if below is None or (right is not None and right < below):
-            rows[r][c] = right
-            c += 1
-        else:
-            rows[r][c] = below
-            r += 1
-    rows[r].pop()
-    if not rows[r]:
-        del rows[r]
-    return _freeze(rows), Box(r + 1, c + 1)
+    rows = _thaw(t)
+    vacated = _slide(rows)
+    return _freeze(rows), vacated
 
 
 def reverse_slide_and_place_min(t: Tableau, corner: Box, v: int) -> Tableau:
@@ -249,28 +349,6 @@ def reverse_slide_and_place_min(t: Tableau, corner: Box, v: int) -> Tableau:
     moving in at each step; ``v`` is then written at (1,1).  Requires
     ``v`` strictly smaller than every entry of ``t``.
     """
-    if v < 1:
-        raise ValueError(f"entries must be positive, got {v}")
-    if t.rows and t.rows[0][0] <= v:
-        raise ValueError(f"{v} is not strictly smaller than every entry")
-    rows = [list(r) for r in t.rows]
-    r, c = corner.row - 1, corner.col - 1
-    if r == len(rows) and c == 0:
-        rows.append([0])
-    elif 0 <= r < len(rows) and c == len(rows[r]) and (r == 0 or len(rows[r - 1]) > c):
-        rows[r].append(0)
-    else:
-        raise ValueError(
-            f"{tuple(corner)} is not an addable corner of shape {t.shape}"
-        )
-    while (r, c) != (0, 0):
-        above = rows[r - 1][c] if r > 0 else None
-        left = rows[r][c - 1] if c > 0 else None
-        if left is None or (above is not None and above >= left):
-            rows[r][c] = above
-            r -= 1
-        else:
-            rows[r][c] = left
-            c -= 1
-    rows[0][0] = v
+    rows = _thaw(t)
+    _unslide(rows, corner, v)
     return _freeze(rows)

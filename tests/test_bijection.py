@@ -1,5 +1,8 @@
 """The matching <-> oscillating-tableau correspondence and conjugation."""
 
+from bisect import bisect_left
+from itertools import combinations
+
 import pytest
 
 from matchstat import (
@@ -7,6 +10,7 @@ from matchstat import (
     OscillatingTableau,
     Partition,
     PositionCase,
+    Tableau,
     classify_position,
     conjugate_matching,
     conjugate_oscillating,
@@ -225,3 +229,96 @@ class TestSymmetryIdentities:
             st_conj = descent_stats(conjugate_matching(m))
             assert st.descent_number + st_conj.descent_number == 2 * (n + 1)
             assert st.major_index + st_conj.major_index == 2 * n * n
+
+
+def max_pairwise(arcs, related):
+    """Largest set of arcs that are pairwise related, by brute force."""
+    best = 0
+    for k in range(1, len(arcs) + 1):
+        if any(
+            all(related(a, b) for a, b in combinations(subset, 2))
+            for subset in combinations(arcs, k)
+        ):
+            best = k
+    return best
+
+
+def nested(a, b):
+    (i1, j1), (i2, j2) = sorted((a, b))
+    return i1 < i2 < j2 < j1
+
+
+def crossing(a, b):
+    (i1, j1), (i2, j2) = sorted((a, b))
+    return i1 < i2 < j1 < j2
+
+
+def nesting_number(m):
+    """Longest strictly decreasing run of right endpoints, arcs by left endpoint."""
+    tails = []  # tails[k]: the largest last value of a decreasing run of length k+1
+    for _, j in sorted(m.pairs()):
+        k = bisect_left(tails, -j)
+        tails[k : k + 1] = [-j]
+    return len(tails)
+
+
+def walk_extent(m):
+    """Most rows and most columns over the shapes of m's walk."""
+    shapes = matching_to_oscillating(m)[0].shapes
+    return max(len(p.parts) for p in shapes), max(p.parts[0] for p in shapes if p.parts)
+
+
+class TestCrossingNestingOracle:
+    """Chen, Deng, Du, Stanley and Yan (Trans. AMS 2007): the most rows in
+    the walk is the nesting number ne(M), the most columns the crossing
+    number cr(M); both are read off the pairs alone."""
+
+    def test_exhaustive_brute_force(self):
+        checked = 0
+        for n in range(1, 6):
+            for m in enumerate_matchings(n):
+                arcs = m.pairs()
+                ne, cr = max_pairwise(arcs, nested), max_pairwise(arcs, crossing)
+                assert walk_extent(m) == (ne, cr)
+                conj = conjugate_matching(m).pairs()
+                assert max_pairwise(conj, nested) == cr
+                assert max_pairwise(conj, crossing) == ne
+                checked += 1
+        assert checked == 1 + 3 + 15 + 105 + 945
+
+    def test_nesting_run_on_small_matchings(self):
+        for m in enumerate_matchings(4):
+            assert nesting_number(m) == max_pairwise(m.pairs(), nested)
+
+    def test_random_large(self):
+        for k in range(4):
+            m = sample_uniform(1000, 17, stream=k)
+            rows, cols = walk_extent(m)
+            assert nesting_number(m) == rows
+            assert nesting_number(conjugate_matching(m)) == cols
+
+
+class TestLazyTrace:
+    """The trace's tableaux are replayed through the public operations,
+    each a fully validated Tableau, and agree with the in-place walk."""
+
+    @staticmethod
+    def check(m):
+        osc, trace = matching_to_oscillating(m)
+        tableaux = trace.tableaux
+        assert all(Tableau(t.rows) == t for t in tableaux)
+        assert tuple(t.shape for t in tableaux) == osc.shapes
+        assert trace.steps == osc.steps
+
+    def test_exhaustive(self):
+        for n in range(1, 6):
+            for m in enumerate_matchings(n):
+                self.check(m)
+
+    def test_random_2n200(self):
+        for k in range(20):
+            self.check(sample_uniform(100, 23, stream=k))
+
+    def test_built_once_on_first_access(self):
+        _, trace = matching_to_oscillating(SIGMA)
+        assert trace.tableaux is trace.tableaux

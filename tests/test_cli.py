@@ -311,6 +311,8 @@ BAD_INPUTS = [
     (["poly", "--n", "501"], 3),
     (["mgf", "--n", "600", "--s", "1"], 3),
     (["lemma41", "--n", "300000"], 3),
+    (["clt", "--n", "2000000"], 3),
+    (["tableau", "--random", "1", "--n", "2000000"], 3),
 ]
 
 

@@ -228,6 +228,16 @@ class TestCltExperiment:
     def test_deterministic(self):
         assert clt_experiment(20, 300, 9) == clt_experiment(20, 300, 9)
 
+    def test_sample_budget_checked_before_any_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr("matchstat.matchings.SAMPLE_BUDGET", 20)
+        monkeypatch.setattr("matchstat.distribution.ProcessPoolExecutor", no_pool)
+        assert clt_experiment(20, 300, 9, threads=1).n == 20
+        with pytest.raises(BudgetError, match="n=21 exceeds the budget n <= 20"):
+            clt_experiment(21, 300, 9, threads=2)
+
     def test_worker_count_does_not_change_output(self):
         assert clt_experiment(20, 300, 9, threads=1) == clt_experiment(
             20, 300, 9, threads=2

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from matchstat import (
+    BudgetError,
     Matching,
     brute_force_moments,
     closed_form_moments,
@@ -214,6 +215,12 @@ class TestSampling:
             sample_uniform(2, -1)
         with pytest.raises(ValueError):
             sample_uniform(2, 2**64)
+
+    def test_sample_budget_limit(self, monkeypatch):
+        monkeypatch.setattr("matchstat.matchings.SAMPLE_BUDGET", 5)
+        assert sample_uniform(5, 1).n == 5
+        with pytest.raises(BudgetError, match="n=6 exceeds the budget n <= 5"):
+            sample_uniform(6, 1)
 
 
 class TestClosedFormMoments:

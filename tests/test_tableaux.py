@@ -17,6 +17,7 @@ from matchstat import (
     reverse_slide_and_place_min,
     row_insert,
 )
+from matchstat.tableaux import _insert, _slide, _unbump, _unslide
 
 
 def build_by_insertion(values):
@@ -220,6 +221,43 @@ class TestReverseSlide:
         smaller, vacated = delete_min_and_slide(tab)
         restored = reverse_slide_and_place_min(smaller, vacated, min(entries))
         assert restored == tab
+
+
+class TestLocalChecks:
+    """Each in-place operation re-checks the cells it wrote.  Handed a
+    working tableau that is out of order there, it must raise; without
+    the check each of these calls completes and returns garbage."""
+
+    def test_insert(self):
+        rows = [[2], [1]]  # 1 lands at (1,1) above the 1 at (2,1)
+        with pytest.raises(ValueError, match="columns must be strictly increasing"):
+            _insert(rows, 1)
+
+    def test_unbump(self):
+        rows = [[1, 5], [2, 3]]  # 3 travels up to (1,1) above the 2 at (2,1)
+        with pytest.raises(ValueError, match="columns must be strictly increasing"):
+            _unbump(rows, Box(2, 2))
+
+    def test_slide(self):
+        rows = [[1, 3], [2], [2]]  # the 2 from (2,1) moves up above the other 2
+        with pytest.raises(ValueError, match="columns must be strictly increasing"):
+            _slide(rows)
+
+    def test_unslide(self):
+        rows = [[2, 3], [1]]  # v = 1 lands at (1,1) above the 1 at (2,1)
+        with pytest.raises(ValueError, match="columns must be strictly increasing"):
+            _unslide(rows, Box(1, 3), 1)
+
+    def test_row_order(self):
+        rows = [[1, 6, 3]]  # 5 bumps the 6 and lands left of the 3
+        with pytest.raises(ValueError, match="rows must be weakly increasing"):
+            _insert(rows, 5)
+
+    def test_valid_tableau_passes(self):
+        rows = [[1, 3], [2]]
+        assert _insert(rows, 4) == [2]
+        assert _slide(rows) == Box(2, 1)
+        assert rows == [[2, 3, 4]]
 
 
 def route_strictly_left(r1, r2):
