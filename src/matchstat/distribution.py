@@ -6,13 +6,14 @@ coefficient of t^m in a generating-function identity,
     sum_m c_m t^m = (1 - t)^(2n+1) * sum_k C(k(k+1)/2 + n - 1, n) t^k,
 
 evaluated in exact integer arithmetic by taking first differences of
-the series 2n+1 times (subtraction only).  Coefficients beyond degree
-2n-1 vanish (asserted for 2n and 2n+1 on every computation).  On top of
-the exact distribution sit the diagnostics for convergence of the
-normalized descent count W = (D - n)/sqrt(n) to N(0, 1/6): pointwise
-MGF values against exp(s^2/12), a deterministic Kolmogorov-Smirnov
-distance, a Monte Carlo experiment, and the series factor of the MGF
-whose limit is 1.
+the series 2n+1 times (subtraction only) up to degree n; the palindrome
+c_m = c_{2n-m} gives the rest.  Every computation checks the result
+against the count (2n-1)!!, the mean n and the variance of the descent
+count, all known in closed form.  On top of the exact distribution sit
+the diagnostics for convergence of the normalized descent count
+W = (D - n)/sqrt(n) to N(0, 1/6): pointwise MGF values against
+exp(s^2/12), a deterministic Kolmogorov-Smirnov distance, a Monte Carlo
+experiment, and the series factor of the MGF whose limit is 1.
 
 Numerical care: probabilities are converted from exact rationals one at
 a time (correctly rounded, relative error <= 2^-53), MGF sums use
@@ -38,6 +39,7 @@ from .matchings import (
     _check_sample_budget,
     _random_partner,
     _rng_for,
+    closed_form_moments,
     descent_stats,
     double_factorial,
     enumerate_matchings,
@@ -66,10 +68,10 @@ __all__ = [
 ENUMERATION_BUDGET = 6
 
 #: Largest n for which exact coefficients are computed on demand.
-COEFFICIENT_BUDGET = 500
+COEFFICIENT_BUDGET = 1000
 
-#: Largest max(n, 16) * (number of terms) one pass of the MGF series factor may take.
-SERIES_BUDGET = 2**28
+#: Largest n + (number of terms) one pass of the MGF series factor may take.
+SERIES_BUDGET = 2**22
 
 _TARGET_VAR = 1.0 / 6.0
 _EVENNESS_TOL = 1e-12
@@ -108,16 +110,33 @@ def _gf_coeffs(n: int) -> tuple[int, ...]:
     # budget is enforced once, where the O(n^2) big-int work is done.
     if n > COEFFICIENT_BUDGET:
         raise BudgetError("n", n, COEFFICIENT_BUDGET)
-    # Multiply sum_k g_k t^k by (1 - t) 2n+1 times, truncated at degree
-    # 2n+1; going down in k lets each pass overwrite the series in place.
-    c = [math.comb(k * (k + 1) // 2 + n - 1, n) for k in range(2 * n + 2)]
+    # Multiply sum_k g_k t^k by (1 - t) 2n+1 times, truncated at degree n;
+    # going down in k lets each pass overwrite the series in place.  The
+    # palindrome c_{n+j} = c_{n-j} gives degrees n+1 .. 2n-1.
+    c = [math.comb(k * (k + 1) // 2 + n - 1, n) for k in range(n + 1)]
     for _ in range(2 * n + 1):
-        for k in range(2 * n + 1, 0, -1):
+        for k in range(n, 0, -1):
             c[k] -= c[k - 1]
-    for m in (2 * n, 2 * n + 1):
-        if c[m] != 0:
-            raise ArithmeticError(f"coefficient at degree {m} did not vanish")
-    return tuple(c[: 2 * n])
+    coeffs = tuple(c + c[n - 1 : 0 : -1])
+    _check_moments(n, coeffs)
+    return coeffs
+
+
+def _check_moments(n: int, coeffs: Sequence[int]) -> None:
+    """Raise ArithmeticError unless coeffs has the known law's first moments.
+
+    The count (2n-1)!!, the mean n and the variance var_d of the descent
+    count are established independently of the generating function, so
+    they test the differencing and the mirroring from outside.
+    """
+    total = double_factorial(2 * n - 1)
+    if sum(coeffs) != total:
+        raise ArithmeticError(f"coefficients at n={n} do not sum to (2n-1)!!")
+    if sum(m * c for m, c in enumerate(coeffs)) != n * total:
+        raise ArithmeticError(f"coefficients at n={n} do not have mean n")
+    second = sum(m * m * c for m, c in enumerate(coeffs))
+    if Fraction(second, total) - n * n != closed_form_moments(n).var_d:
+        raise ArithmeticError(f"coefficients at n={n} do not have variance var_d")
 
 
 def polynomial_by_gf(n: int) -> DescentPolynomial:
@@ -125,8 +144,10 @@ def polynomial_by_gf(n: int) -> DescentPolynomial:
 
     c_m is the coefficient of t^m in (1 - t)^(2n+1) * sum_k g_k t^k with
     g_k = C(k(k+1)/2 + n - 1, n); only k <= m contributes to it, so the
-    series is cut at degree 2n+1 and differenced 2n+1 times.  The vanishing
-    of degrees 2n and 2n+1 is asserted on the way.
+    series is cut at degree n and differenced 2n+1 times, and degrees
+    n+1 .. 2n-1 are mirrored from the palindrome c_m = c_{2n-m}.  The
+    result is checked against the count (2n-1)!!, the mean n and the
+    variance of closed_form_moments(n), raising ArithmeticError otherwise.
     Raises BudgetError for n > COEFFICIENT_BUDGET, as does every function
     built on these coefficients.
     """
@@ -226,38 +247,64 @@ def mgf_convergence_report(
     return MgfReport(tuple(entries))
 
 
+def _stirling_tail(z: np.ndarray) -> np.ndarray:
+    # lnGamma(z) - [(z - 1/2) log z - z + log(2 pi)/2]; the first omitted
+    # term, 1/(1188 z^9), is below 1e-12 for z >= 10
+    r = 1.0 / z
+    r2 = r * r
+    return r * (1 / 12 + r2 * (-1 / 360 + r2 * (1 / 1260 - r2 / 1680)))
+
+
+def _log_gamma_ratio(x: np.ndarray, n: int) -> np.ndarray:
+    """lnGamma(x + n) - lnGamma(x) for x >= 10, without cancelling two lgammas."""
+    out = np.log1p(n / x)
+    out *= x - 0.5
+    out += n * np.log(x + n) - n
+    out += _stirling_tail(x + n)
+    out -= _stirling_tail(x)
+    return out
+
+
 def mgf_series_factor(n: int, s: float) -> float:
     """The series factor of the normalized-descent MGF; its limit is 1.
 
     Evaluates (s/sqrt(n))^(2n+1) / (2n)! * sum_k prod_{j<n} (k^2+k+2j)
-    * exp(-k s / sqrt(n)) in log space: the product becomes a sum of
-    logarithms of exact integers, and the outer sum is a log-sum-exp.
-    The sum starts at 1024 terms and doubles until the last term's log
-    magnitude falls below -40 nats.  A pass over n factors and k_hi terms
-    raises BudgetError when max(n, 16) * k_hi exceeds SERIES_BUDGET.
+    * exp(-k s / sqrt(n)) in log space, with the outer sum a log-sum-exp.
+    With x = (k^2+k)/2 the product is 2^n Gamma(x+n)/Gamma(x): for k <= 3
+    its logarithm is summed factor by factor, and for k >= 4 (x >= 10) it
+    comes from one Stirling-series difference per k, so the work is O(n)
+    once plus O(terms) per pass.  The sum starts at 1024 terms and doubles
+    until the last term's log magnitude falls below -40 nats.  Raises
+    BudgetError, before any array is built, when n + terms exceeds
+    SERIES_BUDGET.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 < s < math.inf:
         raise ValueError(f"s must be positive and finite, got {s}")
-    log_prefactor = (2 * n + 1) * (math.log(s) - 0.5 * math.log(n)) - math.fsum(
-        np.log(np.arange(1, 2 * n + 1, dtype=np.float64))
+
+    def charge(k_hi: int) -> None:
+        if n + k_hi > SERIES_BUDGET:
+            raise BudgetError("n+terms", n + k_hi, SERIES_BUDGET)
+
+    k_hi = 1024
+    charge(k_hi)
+    log_prefactor = (2 * n + 1) * (math.log(s) - 0.5 * math.log(n)) - math.lgamma(
+        2 * n + 1
     )
     decay = s / math.sqrt(n)
-    k_hi = 1024
+    # term for k = 0 is exactly zero (the j = 0 factor vanishes)
+    two_j = 2.0 * np.arange(n, dtype=np.float64)
+    head = [
+        log_prefactor + math.fsum(np.log(two_j + (k * k + k))) - decay * k
+        for k in (1, 2, 3)
+    ]
     while True:
-        # A pass also holds a few k_hi-float arrays whatever n is, so a
-        # small n is charged as 16: that caps them at 2^24 floats each.
-        work = max(n, 16) * k_hi
-        if work > SERIES_BUDGET:
-            raise BudgetError("max(n,16)*terms", work, SERIES_BUDGET)
-        # term for k = 0 is exactly zero (the j = 0 factor vanishes)
-        k = np.arange(1, k_hi + 1, dtype=np.float64)
-        log_terms = np.full(k_hi, log_prefactor)
-        base = k * k + k
-        for j in range(n):
-            log_terms += np.log(base + 2 * j)
+        k = np.arange(4, k_hi + 1, dtype=np.float64)
+        log_terms = _log_gamma_ratio((k * k + k) * 0.5, n)
+        log_terms += log_prefactor + n * math.log(2.0)
         log_terms -= decay * k
+        log_terms = np.concatenate((head, log_terms))
         # terms rise until k*s/sqrt(n) overtakes the 2n*log(k) growth; the
         # truncation is sound only once the peak lies strictly inside the
         # range and the last term has dropped below -40 nats
@@ -266,7 +313,8 @@ def mgf_series_factor(n: int, s: float) -> float:
         if peak_idx < k_hi - 1 and tail_log < min(-40.0, log_terms[peak_idx] - 40.0):
             break
         k_hi *= 2
-    peak = float(log_terms.max())
+        charge(k_hi)
+    peak = float(log_terms[peak_idx])
     return math.exp(peak + math.log(float(np.exp(log_terms - peak).sum())))
 
 

@@ -93,6 +93,14 @@ class Matching:
             if p[j - 1] != i:
                 raise ValueError(f"elements {i} and {j} do not pair up")
 
+    @classmethod
+    def _trusted(cls, partner: tuple[int, ...]) -> Matching:
+        # Only for a partner tuple this package has just built as a
+        # fixed-point-free involution: skips the O(n) pure-Python check.
+        m = object.__new__(cls)
+        object.__setattr__(m, "partner", partner)
+        return m
+
     @property
     def n(self) -> int:
         return len(self.partner) // 2
@@ -238,7 +246,8 @@ def sample_uniform(n: int, seed: int, stream: int = 0) -> Matching:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_sample_budget(n)
-    return Matching(tuple(_random_partner(n, _rng_for(seed, stream)).tolist()))
+    partner = _random_partner(n, _rng_for(seed, stream))
+    return Matching._trusted(tuple(partner.tolist()))
 
 
 _STAT_FIELDS = (

@@ -203,9 +203,9 @@ class TestMgf:
         assert "PASS" in out
 
     def test_budget_exceeded(self, capsys):
-        code, _, err = run(capsys, "mgf", "--n", "600", "--s", "1")
+        code, _, err = run(capsys, "mgf", "--n", "1001", "--s", "1")
         assert code == 3
-        assert "n=600" in err
+        assert "n=1001" in err
 
     def test_json(self, capsys):
         code, out, _ = run(
@@ -308,8 +308,8 @@ BAD_INPUTS = [
     (["clt", "--n", "5", "--samples", "1"], 2),
     (["clt", "--n", "5", "--seed", "18446744073709551616"], 2),
     ([], 2),
-    (["poly", "--n", "501"], 3),
-    (["mgf", "--n", "600", "--s", "1"], 3),
+    (["poly", "--n", "1001"], 3),
+    (["mgf", "--n", "1001", "--s", "1"], 3),
     (["lemma41", "--n", "300000"], 3),
     (["clt", "--n", "2000000"], 3),
     (["tableau", "--random", "1", "--n", "2000000"], 3),

@@ -1,8 +1,10 @@
 """Exact descent polynomials, MGF/KS diagnostics, and the sampler experiment."""
 
+import hashlib
 import json
 import math
 import os
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 
@@ -25,7 +27,11 @@ from matchstat import (
     polynomial_by_gf,
     sample_uniform,
 )
-from matchstat.distribution import _descent_counts_range, _resolve_workers
+from matchstat.distribution import (
+    _check_moments,
+    _descent_counts_range,
+    _resolve_workers,
+)
 
 from gf_oracle import gf_coefficient
 
@@ -55,6 +61,39 @@ class TestPolynomials:
             coeffs = polynomial_by_gf(n).coeffs
             assert list(coeffs) == [gf_coefficient(n, m) for m in range(2 * n)]
 
+    # sha256 of repr(coeffs), computed by differencing all 2n+2 degrees
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (100, "51442681d5dce71be7bda847ddb8752e3e55e1de48006b1ee0ddb6cb05f7f6bc"),
+            (345, "2fde3de115e80b9000f406900725fadd161a311854c108691241c26e03095c78"),
+            (500, "6dbd047021b3f99a98e5282019a9d452daf40460d9828da7a31dd873dccfb26c"),
+        ],
+    )
+    def test_gf_digest(self, n, digest):
+        coeffs = polynomial_by_gf(n).coeffs
+        assert hashlib.sha256(repr(coeffs).encode()).hexdigest() == digest
+
+    def test_moment_checks_reject_wrong_tuples(self):
+        n = 6
+        good = list(polynomial_by_gf(n).coeffs)
+        _check_moments(n, good)
+
+        def moved(changes):
+            out = good.copy()
+            for m, delta in changes:
+                out[m] += delta
+            return out
+
+        wrong = {
+            "sum to": moved([(3, 1)]),
+            "mean": moved([(3, -1), (4, 1)]),
+            "variance": moved([(n, -2), (n - 1, 1), (n + 1, 1)]),
+        }
+        for message, coeffs in wrong.items():
+            with pytest.raises(ArithmeticError, match=message):
+                _check_moments(n, coeffs)
+
     def test_high_degree_coefficients_vanish(self):
         for n in range(1, 41):
             assert gf_coefficient(n, 2 * n) == 0
@@ -70,10 +109,10 @@ class TestPolynomials:
             polynomial_by_enumeration(7)
 
     def test_coefficient_budget(self):
-        with pytest.raises(BudgetError, match="n=501"):
-            polynomial_by_gf(501)
-        with pytest.raises(BudgetError, match="n=501"):
-            exact_distribution(501)
+        with pytest.raises(BudgetError, match="n=1001"):
+            polynomial_by_gf(1001)
+        with pytest.raises(BudgetError, match="n=1001"):
+            exact_distribution(1001)
 
     def test_coefficient_length_check(self):
         with pytest.raises(ValueError):
@@ -130,8 +169,8 @@ class TestMgf:
             mgf_Wn(100, 1e6)
 
     def test_budget(self):
-        with pytest.raises(BudgetError, match="n=501"):
-            mgf_Wn(501, 1.0)
+        with pytest.raises(BudgetError, match="n=1001"):
+            mgf_Wn(1001, 1.0)
 
     def test_rejects_non_finite_s(self):
         for s in (math.nan, math.inf, -math.inf):
@@ -148,6 +187,30 @@ class TestMgf:
         assert errs[0] > errs[1]
         payload = json.loads(report.to_json())
         assert set(payload["entries"][0]) == {"n", "s", "mgf_value", "target", "abs_error"}
+
+
+def decimal_series_factor(n: int, s: float) -> float:
+    """The series factor summed term by term at 40 digits.
+
+    Each product prod_{j<n} (k^2+k+2j) is an exact integer; only the
+    exponentials and the sum are rounded.  The terms rise to one peak and
+    then fall, so the sum stops past the peak once a term is below 1e-45
+    of the total.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        decay = Decimal(s) / Decimal(n).sqrt()
+        total = previous = Decimal(0)
+        k = 1
+        while True:
+            product = math.prod(range(k * k + k, k * k + k + 2 * n, 2))
+            term = Decimal(product) * (-decay * k).exp()
+            total += term
+            if term < previous and term < total * Decimal("1e-45"):
+                break
+            previous = term
+            k += 1
+        return float(decay ** (2 * n + 1) / math.factorial(2 * n) * total)
 
 
 class TestSeriesFactor:
@@ -176,22 +239,43 @@ class TestSeriesFactor:
         direct = decay ** (2 * n + 1) / math.factorial(2 * n) * math.fsum(terms)
         assert mgf_series_factor(n, 1.0) == pytest.approx(direct, rel=1e-12)
 
+    # n = 5, s = 5 puts 26 % of the sum on k = 3 and 22 % on k = 4, the
+    # last term summed factor by factor and the first from Stirling
+    @pytest.mark.parametrize("n,s", [(5, 1.0), (25, 1.0), (100, 1.0), (5, 5.0)])
+    def test_against_decimal_sum(self, n, s):
+        assert mgf_series_factor(n, s) == pytest.approx(
+            decimal_series_factor(n, s), rel=1e-12
+        )
+
     def test_series_budget_limit(self, monkeypatch):
-        # n = 25, s = 1 stops after one pass of 1024 terms: 25 * 1024 = 25600
+        # n = 25, s = 1 stops after one pass of 1024 terms: 25 + 1024 = 1049
         expected = mgf_series_factor(25, 1.0)
-        monkeypatch.setattr("matchstat.distribution.SERIES_BUDGET", 25600)
+        monkeypatch.setattr("matchstat.distribution.SERIES_BUDGET", 1049)
         assert mgf_series_factor(25, 1.0) == expected
-        monkeypatch.setattr("matchstat.distribution.SERIES_BUDGET", 25599)
-        with pytest.raises(BudgetError, match=r"max\(n,16\)\*terms=25600"):
+        monkeypatch.setattr("matchstat.distribution.SERIES_BUDGET", 1048)
+        with pytest.raises(BudgetError, match=r"n\+terms=1049 "):
             mgf_series_factor(25, 1.0)
 
     def test_series_budget_stops_tiny_s(self, monkeypatch):
-        # small n is charged as n = 16, so a tiny s cannot grow the arrays
-        # to SERIES_BUDGET floats; 2**20 / 16 allows 65536 terms at most
-        monkeypatch.setattr("matchstat.distribution.SERIES_BUDGET", 2**20)
+        # the charge grows with the terms whatever n is, so a tiny s cannot
+        # build arrays beyond SERIES_BUDGET floats; n = 1, s = 0.01 stops
+        # after the pass of 8192 terms
+        monkeypatch.setattr("matchstat.distribution.SERIES_BUDGET", 8193)
         assert mgf_series_factor(1, 0.01) > 0
-        with pytest.raises(BudgetError, match="terms=2097152"):
+        monkeypatch.setattr("matchstat.distribution.SERIES_BUDGET", 8192)
+        with pytest.raises(BudgetError, match=r"n\+terms=8193 "):
+            mgf_series_factor(1, 0.01)
+        monkeypatch.setattr("matchstat.distribution.SERIES_BUDGET", 2**20)
+        with pytest.raises(BudgetError, match=r"n\+terms=1048577 "):
             mgf_series_factor(1, 1e-9)
+
+    def test_series_budget_charged_before_any_array(self, monkeypatch):
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("an array was built")
+
+        monkeypatch.setattr("matchstat.distribution.np.arange", no_arrays)
+        with pytest.raises(BudgetError, match=r"n\+terms=4195328 "):
+            mgf_series_factor(2**22, 1.0)
 
     def test_rejects_bad_s(self):
         with pytest.raises(ValueError):
@@ -215,7 +299,7 @@ class TestExactKs:
 
     def test_budget(self):
         with pytest.raises(BudgetError):
-            exact_ks_distance(501)
+            exact_ks_distance(1001)
 
 
 class TestCltExperiment:

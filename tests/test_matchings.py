@@ -190,9 +190,13 @@ class TestSampling:
         assert sample_uniform(10, 1).partner != sample_uniform(10, 2).partner
 
     def test_valid_matchings(self):
-        for k in range(20):
-            m = sample_uniform(50, 7, stream=k)
-            assert m.n == 50  # construction re-validates the involution
+        # sample_uniform skips the constructor's check on its own draw, so
+        # run that check here on draws from each size
+        for n in (1, 3, 50, 1000):
+            for k in range(20):
+                m = sample_uniform(n, 7, stream=k)
+                assert m.n == n
+                assert Matching(m.partner) == m
 
     def test_partner_holds_python_ints(self):
         # the draw is a numpy array; the Matching must hash, compare and
