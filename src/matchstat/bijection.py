@@ -114,26 +114,18 @@ def parse_oscillating(text: str) -> OscillatingTableau:
 class BijectionTrace:
     """The working tableaux P_0..P_{2n} alongside the per-step boxes.
 
-    The forward map gives its matching instead of the tableaux: they are
-    built on first access, by replaying ``row_insert`` and
+    A trace holds the matching and the 2n steps its forward map took; the
+    tableaux are built on first access, by replaying ``row_insert`` and
     ``delete_min_and_slide``, so every snapshot is a validated
     ``Tableau`` and only a caller that reads them pays for them.
     """
 
-    def __init__(
-        self, tableaux: tuple[Tableau, ...], steps: tuple[TraceStep, ...]
-    ) -> None:
-        if len(tableaux) != len(steps) + 1:
-            raise ValueError("need one tableau more than steps")
-        self._tableaux: tuple[Tableau, ...] | None = tuple(tableaux)
-        self._matching: Matching | None = None
+    def __init__(self, matching: Matching, steps: tuple[TraceStep, ...]) -> None:
+        if len(steps) != len(matching.partner):
+            raise ValueError("need one step per letter of the matching")
+        self._tableaux: tuple[Tableau, ...] | None = None
+        self._matching = matching
         self.steps = tuple(steps)
-
-    @classmethod
-    def _replaying(cls, m: Matching, steps: tuple[TraceStep, ...]) -> BijectionTrace:
-        trace = cls.__new__(cls)
-        trace._tableaux, trace._matching, trace.steps = None, m, steps
-        return trace
 
     @property
     def tableaux(self) -> tuple[Tableau, ...]:
@@ -218,7 +210,7 @@ def _shapes(steps) -> tuple[Partition, ...]:
 def matching_to_oscillating(m: Matching) -> tuple[OscillatingTableau, BijectionTrace]:
     """Map a matching to its shape walk, keeping the full trace."""
     steps = tuple(_walk(m))
-    return OscillatingTableau(_shapes(steps)), BijectionTrace._replaying(m, steps)
+    return OscillatingTableau(_shapes(steps)), BijectionTrace(m, steps)
 
 
 def oscillating_to_matching(t: OscillatingTableau) -> Matching:

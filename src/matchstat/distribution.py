@@ -15,8 +15,10 @@ W = (D - n)/sqrt(n) to N(0, 1/6): pointwise MGF values against
 exp(s^2/12), a deterministic Kolmogorov-Smirnov distance, a Monte Carlo
 experiment, and the series factor of the MGF whose limit is 1.
 
-Numerical care: probabilities are converted from exact rationals one at
-a time (correctly rounded, relative error <= 2^-53), MGF sums use
+Numerical care: the float probabilities behind the MGF and the KS
+distance are c_m / (2n-1)!! by correctly rounded integer division
+(relative error <= 2^-53, the same float as rounding the exact rational),
+formed for m <= n and mirrored like the coefficients; MGF sums use
 math.fsum, and the series factor is evaluated entirely in log space via
 log-sum-exp because (2n)! overflows floats from n = 86 on.
 """
@@ -25,12 +27,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -76,6 +79,8 @@ SERIES_BUDGET = 2**22
 _TARGET_VAR = 1.0 / 6.0
 _EVENNESS_TOL = 1e-12
 
+_P = TypeVar("_P")
+
 
 @dataclass(frozen=True)
 class DescentPolynomial:
@@ -111,12 +116,11 @@ def _gf_coeffs(n: int) -> tuple[int, ...]:
     if n > COEFFICIENT_BUDGET:
         raise BudgetError("n", n, COEFFICIENT_BUDGET)
     # Multiply sum_k g_k t^k by (1 - t) 2n+1 times, truncated at degree n;
-    # going down in k lets each pass overwrite the series in place.  The
-    # palindrome c_{n+j} = c_{n-j} gives degrees n+1 .. 2n-1.
+    # the slice assignment consumes the whole map (old values only) before
+    # it writes.  The palindrome c_{n+j} = c_{n-j} gives degrees n+1 .. 2n-1.
     c = [math.comb(k * (k + 1) // 2 + n - 1, n) for k in range(n + 1)]
     for _ in range(2 * n + 1):
-        for k in range(n, 0, -1):
-            c[k] -= c[k - 1]
+        c[1:] = map(operator.sub, c[1:], c)
     coeffs = tuple(c + c[n - 1 : 0 : -1])
     _check_moments(n, coeffs)
     return coeffs
@@ -156,15 +160,40 @@ def polynomial_by_gf(n: int) -> DescentPolynomial:
     return DescentPolynomial(n, _gf_coeffs(n))
 
 
-@lru_cache(maxsize=16)
-def _exact_distribution(n: int) -> tuple[tuple[int, Fraction], ...]:
+def _mirrored_law(
+    n: int, ratio: Callable[[int, int], _P]
+) -> tuple[tuple[int, _P], ...]:
+    """(m, ratio(c_m, (2n-1)!!)) for every nonzero c_m.
+
+    ratio is called for m <= n only; m = n+1 .. 2n-1 reuse the value at
+    2n - m, as the coefficients themselves do.
+    """
     coeffs = _gf_coeffs(n)  # first: it enforces the budget before (2n-1)!! is built
     total = double_factorial(2 * n - 1)
-    return tuple((m, Fraction(c, total)) for m, c in enumerate(coeffs) if c)
+    half = [ratio(c, total) for c in coeffs[: n + 1]]
+    law = half + half[n - 1 : 0 : -1]
+    return tuple((m, p) for m, (c, p) in enumerate(zip(coeffs, law)) if c)
+
+
+@lru_cache(maxsize=16)
+def _exact_distribution(n: int) -> tuple[tuple[int, Fraction], ...]:
+    return _mirrored_law(n, Fraction)
+
+
+@lru_cache(maxsize=16)
+def _exact_floats(n: int) -> tuple[tuple[int, float], ...]:
+    # int true division is correctly rounded, so each value equals
+    # float(Fraction(c_m, total)) bit for bit without the gcd
+    return _mirrored_law(n, operator.truediv)
 
 
 def exact_distribution(n: int) -> list[tuple[int, Fraction]]:
-    """P(D = m) = c_m / (2n-1)!! as exact rationals, nonzero entries only."""
+    """P(D = m) = c_m / (2n-1)!! as exact rationals, nonzero entries only.
+
+    Only m <= n is reduced to lowest terms; m = n+1 .. 2n-1 repeat the
+    value at 2n - m by the palindrome.  Raises BudgetError for
+    n > COEFFICIENT_BUDGET before (2n-1)!! is built.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     return list(_exact_distribution(n))
@@ -173,8 +202,9 @@ def exact_distribution(n: int) -> list[tuple[int, Fraction]]:
 def mgf_Wn(n: int, s: float) -> float:
     """MGF of W = (D - n)/sqrt(n) at s, from the exact distribution.
 
-    Each probability is converted to float individually (correctly
-    rounded) and the weighted exponentials are summed with math.fsum.
+    Each probability is the correctly rounded float of c_m / (2n-1)!!,
+    taken by integer division without forming a Fraction, and the
+    weighted exponentials are summed with math.fsum.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -183,8 +213,7 @@ def mgf_Wn(n: int, s: float) -> float:
     sqrt_n = math.sqrt(n)
     try:
         terms = [
-            float(p) * math.exp(s * (m - n) / sqrt_n)
-            for m, p in _exact_distribution(n)
+            p * math.exp(s * (m - n) / sqrt_n) for m, p in _exact_floats(n)
         ]
     except OverflowError:
         raise OverflowError(
@@ -274,9 +303,11 @@ def mgf_series_factor(n: int, s: float) -> float:
     its logarithm is summed factor by factor, and for k >= 4 (x >= 10) it
     comes from one Stirling-series difference per k, so the work is O(n)
     once plus O(terms) per pass.  The sum starts at 1024 terms and doubles
-    until the last term's log magnitude falls below -40 nats.  Raises
-    BudgetError, before any array is built, when n + terms exceeds
-    SERIES_BUDGET.
+    until the last term's log magnitude falls below -40 nats.  A pass
+    that provably ends while the terms still rise is skipped; each pass
+    recomputes every term, so skipping does not change the value.  Raises
+    BudgetError, before any array is built, once a pass taken or skipped
+    would have n + terms above SERIES_BUDGET.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -287,12 +318,23 @@ def mgf_series_factor(n: int, s: float) -> float:
         if n + k_hi > SERIES_BUDGET:
             raise BudgetError("n+terms", n + k_hi, SERIES_BUDGET)
 
+    decay = s / math.sqrt(n)
+
+    def rises_through(k: int) -> bool:
+        # d/dk sum_j log(k^2+k+2j) >= n(2k+1)/(k^2+k+2n-2); the bound is
+        # 3/2 at k = 1 and unimodal, so where it exceeds decay at 1 and at
+        # k it does on all of [1, k], the log terms rise up to k, and a
+        # pass ending at k cannot end the doubling
+        return decay < 1.5 and n * (2 * k + 1) > decay * (k * k + k + 2 * n - 2)
+
     k_hi = 1024
     charge(k_hi)
+    while rises_through(k_hi):
+        k_hi *= 2
+        charge(k_hi)
     log_prefactor = (2 * n + 1) * (math.log(s) - 0.5 * math.log(n)) - math.lgamma(
         2 * n + 1
     )
-    decay = s / math.sqrt(n)
     # term for k = 0 is exactly zero (the j = 0 factor vanishes)
     two_j = 2.0 * np.arange(n, dtype=np.float64)
     head = [
@@ -334,10 +376,10 @@ def exact_ks_distance(n: int) -> float:
     sqrt_n = math.sqrt(n)
     cum = 0.0
     dist = 0.0
-    for m, p in _exact_distribution(n):
+    for m, p in _exact_floats(n):
         target = _normal_cdf((m - n) / sqrt_n, sigma)
         dist = max(dist, target - cum)
-        cum += float(p)
+        cum += p
         dist = max(dist, cum - target)
     return dist
 

@@ -152,7 +152,7 @@ def test_06_generating_function_identity():
         ok &= polynomial_by_gf(n).coeffs == polynomial_by_enumeration(n).coeffs
         ok &= gf_coefficient(n, 2 * n) == 0
         ok &= gf_coefficient(n, 2 * n + 1) == 0
-    # the coefficient routine also asserts the vanishing degrees
+    # the coefficient routine also checks the count, mean and variance
     # internally for every n computed below
     for n in range(1, 201):
         coeffs = polynomial_by_gf(n).coeffs
@@ -203,13 +203,13 @@ def test_08_monte_carlo_normal_limit():
 
 
 def test_09_deterministic_convergence():
-    ks50, ks200 = exact_ks_distance(50), exact_ks_distance(200)
-    ks_ok = ks50 > ks200 and ks200 <= 0.05
+    ks50, ks200, ks1000 = (exact_ks_distance(n) for n in (50, 200, 1000))
+    ks_ok = ks50 > ks200 > ks1000 and ks200 <= 0.05
 
-    entries = mgf_convergence_report([10, 100, 400], [1.0]).entries
+    entries = mgf_convergence_report([10, 100, 400, 1000], [1.0]).entries
     errs = [e.abs_error for e in entries]
     target_ok = round(entries[0].target, 6) == 1.086904
-    mgf_ok = errs[0] > errs[1] > errs[2] and target_ok
+    mgf_ok = errs[0] > errs[1] > errs[2] > errs[3] and target_ok
 
     gaps = []
     bounds_ok = True
@@ -220,8 +220,8 @@ def test_09_deterministic_convergence():
     series_ok = gaps[0] > gaps[1] > gaps[2] and bounds_ok
 
     report(
-        f"exact KS {ks50:.4f}->{ks200:.4f}, MGF errors "
-        f"{errs[0]:.2e}->{errs[1]:.2e}->{errs[2]:.2e}, series gaps "
+        f"exact KS {ks50:.4f}->{ks200:.4f}->{ks1000:.4f}, MGF errors "
+        f"{'->'.join(f'{e:.2e}' for e in errs)}, series gaps "
         f"{gaps[0]:.3f}->{gaps[1]:.3f}->{gaps[2]:.3f}",
         ks_ok and mgf_ok and series_ok,
     )

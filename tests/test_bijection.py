@@ -7,6 +7,7 @@ import pytest
 
 from matchstat import (
     DESCENT_CASES,
+    BijectionTrace,
     OscillatingTableau,
     Partition,
     PositionCase,
@@ -322,3 +323,11 @@ class TestLazyTrace:
     def test_built_once_on_first_access(self):
         _, trace = matching_to_oscillating(SIGMA)
         assert trace.tableaux is trace.tableaux
+
+    def test_constructed_from_matching_and_steps(self):
+        osc, trace = matching_to_oscillating(SIGMA)
+        direct = BijectionTrace(SIGMA, osc.steps)
+        assert direct.steps == trace.steps
+        assert direct.tableaux == trace.tableaux
+        with pytest.raises(ValueError, match="one step per letter"):
+            BijectionTrace(SIGMA, osc.steps[:-1])

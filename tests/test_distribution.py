@@ -30,6 +30,7 @@ from matchstat import (
 from matchstat.distribution import (
     _check_moments,
     _descent_counts_range,
+    _normal_cdf,
     _resolve_workers,
 )
 
@@ -114,6 +115,23 @@ class TestPolynomials:
         with pytest.raises(BudgetError, match="n=1001"):
             exact_distribution(1001)
 
+    def test_budget_precedes_double_factorial(self, monkeypatch):
+        # (2n-1)!! at n = 10**7 has about 6.6e7 digits; the budget must
+        # refuse n before it is built
+        def no_double_factorial(*args):
+            raise AssertionError("(2n-1)!! was built")
+
+        monkeypatch.setattr(
+            "matchstat.distribution.double_factorial", no_double_factorial
+        )
+        n = 10**7
+        with pytest.raises(BudgetError, match=f"n={n}"):
+            exact_distribution(n)
+        with pytest.raises(BudgetError, match=f"n={n}"):
+            exact_ks_distance(n)
+        with pytest.raises(BudgetError, match=f"n={n}"):
+            mgf_Wn(n, 1.0)
+
     def test_coefficient_length_check(self):
         with pytest.raises(ValueError):
             DescentPolynomial(2, (0, 1, 1))
@@ -133,6 +151,14 @@ class TestExactDistribution:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_sums_to_one(self, n):
         assert sum(p for _, p in exact_distribution(n)) == 1
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 345])
+    def test_equals_direct_fractions(self, n):
+        # the law forms Fractions for m <= n only and mirrors the rest
+        total = double_factorial(2 * n - 1)
+        coeffs = polynomial_by_gf(n).coeffs
+        direct = [(m, Fraction(c, total)) for m, c in enumerate(coeffs) if c]
+        assert exact_distribution(n) == direct
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_moment_consistency_with_closed_forms(self, n):
@@ -163,6 +189,18 @@ class TestMgf:
     def test_evenness(self):
         for n in (10, 100):
             assert abs(mgf_Wn(n, 1.0) - mgf_Wn(n, -1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 200])
+    def test_equals_sum_over_float_fractions(self, n):
+        # the library divides c_m by (2n-1)!! without forming a Fraction;
+        # correct rounding makes every term the same float
+        sqrt_n = math.sqrt(n)
+        for s in (-0.5, 1.0, 2.0):
+            direct = math.fsum(
+                float(p) * math.exp(s * (m - n) / sqrt_n)
+                for m, p in exact_distribution(n)
+            )
+            assert mgf_Wn(n, s) == direct
 
     def test_overflow_raises(self):
         with pytest.raises(OverflowError, match="MGF"):
@@ -277,6 +315,17 @@ class TestSeriesFactor:
         with pytest.raises(BudgetError, match=r"n\+terms=4195328 "):
             mgf_series_factor(2**22, 1.0)
 
+    def test_passes_that_must_fail_are_skipped(self, monkeypatch):
+        # at n = 20000, s = 1 the log terms provably rise up to k ~ 5.7e6,
+        # so no pass below 2^23 terms can end the sum; skipped passes are
+        # still charged, and the one of 2^22 terms is over the budget
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("an array was built")
+
+        monkeypatch.setattr("matchstat.distribution.np.arange", no_arrays)
+        with pytest.raises(BudgetError, match=r"n\+terms=4214304 "):
+            mgf_series_factor(20000, 1.0)
+
     def test_rejects_bad_s(self):
         with pytest.raises(ValueError):
             mgf_series_factor(10, 0.0)
@@ -296,6 +345,17 @@ class TestExactKs:
 
     def test_decreases(self):
         assert exact_ks_distance(10) > exact_ks_distance(40)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 200])
+    def test_equals_scan_over_float_fractions(self, n):
+        sigma, sqrt_n = math.sqrt(1 / 6), math.sqrt(n)
+        cum = dist = 0.0
+        for m, p in exact_distribution(n):
+            target = _normal_cdf((m - n) / sqrt_n, sigma)
+            dist = max(dist, target - cum)
+            cum += float(p)
+            dist = max(dist, cum - target)
+        assert exact_ks_distance(n) == dist
 
     def test_budget(self):
         with pytest.raises(BudgetError):
@@ -341,10 +401,11 @@ class TestCltExperiment:
         assert abs(report.sample_var_W - 1 / 6) < 0.03
         assert report.ks_distance < 0.15
 
-    def test_empirical_cdf_within_dkw_bound_of_exact_law(self):
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_empirical_cdf_within_dkw_bound_of_exact_law(self, n):
         # Dvoretzky-Kiefer-Wolfowitz: P(sup |F_N - F| > eps) <= 2 exp(-2 N eps^2),
         # so eps below fails a correct sampler with probability <= 1e-6
-        n, draws = 200, 20000
+        draws = 20000
         eps = math.sqrt(math.log(2 / 1e-6) / (2 * draws))
         counts = _descent_counts_range(n, 42, 0, draws)
         empirical = np.cumsum(np.bincount(counts, minlength=2 * n)) / draws
