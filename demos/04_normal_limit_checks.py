@@ -20,13 +20,14 @@ from matchstat import (
     mgf_series_factor,
     mgf_Wn,
 )
+from matchstat.cli import main
 
 # ---------------------------------------------------------------------
 # MGF convergence: the error at s = 1 shrinks roughly like 1/n.
 # ---------------------------------------------------------------------
-report = mgf_convergence_report([10, 50, 200, 400], [1.0])
+entries = mgf_convergence_report([10, 50, 200, 400], [1.0])
 print(f"target exp(1/12) = {math.exp(1/12):.9f}")
-for e in report.entries:
+for e in entries:
     print(f"  n={e.n:4d}: MGF(1) = {e.mgf_value:.9f}   error {e.abs_error:.2e}")
 print(f"evenness: MGF(1) - MGF(-1) = {mgf_Wn(400, 1.0) - mgf_Wn(400, -1.0):.1e}")
 print()
@@ -59,4 +60,8 @@ print(f"n={rep.n}, {rep.num_samples} samples (seed {rep.seed}):")
 print(f"  sample mean of W  = {rep.sample_mean_W:+.5f}  (limit 0)")
 print(f"  sample var of W   = {rep.sample_var_W:.5f}  (limit 1/6 = {1/6:.5f})")
 print(f"  KS vs N(0, 1/6)   = {rep.ks_distance:.5f}")
-print(f"JSON report: {rep.to_json()}")
+# The same check from the command line, on fewer samples, as JSON; exit
+# code 1 would mean a failed threshold, 2 or 3 an error.
+argv = ["clt", "--n", "500", "--samples", "2000", "--seed", "42", "--format", "json"]
+print(f"JSON report (matchstat {' '.join(argv)}):")
+assert main(argv) in (0, 1)

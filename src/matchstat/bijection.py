@@ -33,10 +33,7 @@ from .tableaux import (
     _unbump,
     _unslide,
     added_box,
-    delete_min_and_slide,
     parse_partition,
-    removed_box,
-    row_insert,
 )
 
 __all__ = [
@@ -85,7 +82,7 @@ class OscillatingTableau:
             if sizes[idx] == sizes[idx - 1] + 1:
                 steps.append(TraceStep(added_box(a, b), True))
             elif sizes[idx] == sizes[idx - 1] - 1:
-                steps.append(TraceStep(removed_box(a, b), False))
+                steps.append(TraceStep(added_box(b, a), False))
             else:
                 raise ValueError(
                     f"shapes {idx - 1} and {idx} do not differ by one box"
@@ -115,9 +112,10 @@ class BijectionTrace:
     """The working tableaux P_0..P_{2n} alongside the per-step boxes.
 
     A trace holds the matching and the 2n steps its forward map took; the
-    tableaux are built on first access, by replaying ``row_insert`` and
-    ``delete_min_and_slide``, so every snapshot is a validated
-    ``Tableau`` and only a caller that reads them pays for them.
+    tableaux are built on first access, by running the forward map's
+    in-place insertions and slides again on one working tableau and
+    freezing a validated ``Tableau`` after every step, so only a caller
+    that reads them pays for them.
     """
 
     def __init__(self, matching: Matching, steps: tuple[TraceStep, ...]) -> None:
@@ -130,18 +128,14 @@ class BijectionTrace:
     @property
     def tableaux(self) -> tuple[Tableau, ...]:
         if self._tableaux is None:
-            tab = Tableau()
-            tableaux = [tab]
-            partner = self._matching.partner
-            for (i, j), step in zip(enumerate(partner, start=1), self.steps):
+            rows: list[list[int]] = []
+            tableaux = [Tableau()]
+            for i, j in enumerate(self._matching.partner, start=1):
                 if i < j:
-                    tab, route = row_insert(tab, j)
-                    box = route.new_box
+                    _insert(rows, j)
                 else:
-                    tab, box = delete_min_and_slide(tab)
-                if box != step.box:
-                    raise RuntimeError(f"defect: step {i} replays to {tuple(box)}")
-                tableaux.append(tab)
+                    _slide(rows)
+                tableaux.append(Tableau(tuple(map(tuple, rows))))
             self._tableaux = tuple(tableaux)
         return self._tableaux
 

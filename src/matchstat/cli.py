@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bijection import (
     conjugate_matching,
@@ -26,7 +26,6 @@ from .distribution import (
     ENUMERATION_BUDGET,
     BudgetError,
     MgfEntry,
-    _sig12,
     clt_experiment,
     mgf_convergence_report,
     mgf_series_factor,
@@ -74,6 +73,14 @@ class Report:
             return "\n".join(table)
         verdicts = [f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in self.checks.items()]
         return "\n".join(self.heading + table + verdicts)
+
+
+def _rounded(fields: dict) -> dict:
+    """``fields`` with every float cut to 12 significant digits, for json."""
+    return {
+        k: float(f"{v:.12g}") if isinstance(v, float) else v
+        for k, v in fields.items()
+    }
 
 
 def _cell(value) -> str:
@@ -249,7 +256,7 @@ def cmd_tableau(args) -> Report:
 def cmd_clt(args) -> Report:
     r = clt_experiment(args.n, args.samples, args.seed)
     return Report(
-        r.to_json(),
+        json.dumps(_rounded(asdict(r))),
         ["Monte Carlo check of W = (D - n)/sqrt(n) against N(0, 1/6)"],
         ("n", "num_samples", "seed", "sample_mean_W", "sample_var_W", "ks_distance"),
         [(r.n, r.num_samples, r.seed, r.sample_mean_W, r.sample_var_W, r.ks_distance)],
@@ -263,21 +270,22 @@ def cmd_clt(args) -> Report:
 
 
 def cmd_mgf(args) -> Report:
-    report = mgf_convergence_report(args.n, args.s)
+    entries = mgf_convergence_report(args.n, args.s)
     decreasing = True
     for s in args.s:
-        errs = [e.abs_error for e in report.entries if e.s == s]
+        errs = [e.abs_error for e in entries if e.s == s]
         decreasing &= all(a > b for a, b in zip(errs, errs[1:]))
     return Report(
-        report.to_json(),
+        json.dumps({"entries": [_rounded(e._asdict()) for e in entries]}),
         ["MGF of W = (D - n)/sqrt(n) against its limit exp(s^2/12)"],
         MgfEntry._fields,
-        list(report.entries),
+        list(entries),
         {"abs_error strictly decreasing in n": decreasing},
     )
 
 
 def cmd_lemma41(args) -> Report:
+    columns = ("n", "value", "lower_bound", "gap_to_limit")
     rows = []
     for n in args.n:
         value = mgf_series_factor(n, args.s)
@@ -287,16 +295,13 @@ def cmd_lemma41(args) -> Report:
     decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
     payload = {
         "s": args.s,
-        "rows": [
-            {"n": n, "value": _sig12(v), "lower_bound": _sig12(b), "gap_to_limit": _sig12(g)}
-            for n, v, b, g in rows
-        ],
+        "rows": [_rounded(dict(zip(columns, row))) for row in rows],
         "gap_strictly_decreasing": decreasing,
     }
     return Report(
         json.dumps(payload),
         [f"series factor of the MGF at s={args.s:g} (limit 1)"],
-        ("n", "value", "lower_bound", "gap_to_limit"),
+        columns,
         rows,
         {
             "value >= lower_bound at every n": all(v >= b for _, v, b, _ in rows),

@@ -141,7 +141,9 @@ def from_pairs(pairs: Iterable[tuple[int, int]]) -> Matching:
             seen[x] = True
         partner[a - 1] = b
         partner[b - 1] = a
-    return Matching(tuple(partner))
+    # n blocks of distinct in-range letters cover all 2n letters once, so
+    # partner is already a fixed-point-free involution
+    return Matching._trusted(tuple(partner))
 
 
 def parse_matching(text: str) -> Matching:
@@ -194,7 +196,7 @@ def enumerate_matchings(n: int) -> Iterator[Matching]:
 
     def fill(unmatched: tuple[int, ...]) -> Iterator[Matching]:
         if not unmatched:
-            yield Matching(tuple(partner))
+            yield Matching._trusted(tuple(partner))
             return
         a = unmatched[0]
         rest = unmatched[1:]
@@ -306,6 +308,12 @@ def closed_form_moments(n: int) -> MomentReport:
     Var d = (n+4)(n-1)/(3(2n-1)), E maj = n^2,
     Var maj = 2n(n+4)(n-1)/9 (variances and second moments need n >= 4).
     Below the thresholds the formula value is returned but flagged.
+
+    The flags mark the range the paper proves, not where the formulas
+    fail: enumeration matches every raw value at n = 2 and 3, and at
+    n = 1 every field except the joint probabilities, which have no
+    position pairs there.  The exact coefficients are checked against
+    var_d at every n >= 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -32,7 +32,6 @@ __all__ = [
     "BumpingRoute",
     "conjugate_partition",
     "added_box",
-    "removed_box",
     "row_insert",
     "reverse_row_insert",
     "delete_min_and_slide",
@@ -108,11 +107,6 @@ def added_box(before: Partition, after: Partition) -> Box:
         if len(diff) == 1 and a[diff[0]] == b[diff[0]] + 1:
             return Box(diff[0] + 1, a[diff[0]])
     raise ValueError(f"{after} does not extend {before} by one box")
-
-
-def removed_box(before: Partition, after: Partition) -> Box:
-    """The unique cell of ``before`` that is missing from ``after``."""
-    return added_box(after, before)
 
 
 @dataclass(frozen=True)

@@ -206,7 +206,7 @@ def test_09_deterministic_convergence():
     ks50, ks200, ks1000 = (exact_ks_distance(n) for n in (50, 200, 1000))
     ks_ok = ks50 > ks200 > ks1000 and ks200 <= 0.05
 
-    entries = mgf_convergence_report([10, 100, 400, 1000], [1.0]).entries
+    entries = mgf_convergence_report([10, 100, 400, 1000], [1.0])
     errs = [e.abs_error for e in entries]
     target_ok = round(entries[0].target, 6) == 1.086904
     mgf_ok = errs[0] > errs[1] > errs[2] > errs[3] and target_ok

@@ -8,6 +8,7 @@ import pytest
 from matchstat import (
     DESCENT_CASES,
     BijectionTrace,
+    Matching,
     OscillatingTableau,
     Partition,
     PositionCase,
@@ -15,12 +16,14 @@ from matchstat import (
     classify_position,
     conjugate_matching,
     conjugate_oscillating,
+    delete_min_and_slide,
     descent_stats,
     enumerate_matchings,
     from_pairs,
     matching_to_oscillating,
     oscillating_to_matching,
     parse_oscillating,
+    row_insert,
     sample_uniform,
 )
 
@@ -76,6 +79,15 @@ class TestInverseMap:
             for m in enumerate_matchings(n):
                 osc, _ = matching_to_oscillating(m)
                 assert oscillating_to_matching(osc) == m
+
+    def test_trusted_matchings_pass_the_full_check(self):
+        # enumerate_matchings and from_pairs (behind the inverse map) build
+        # without Matching's own check
+        for n in range(1, 6):
+            for m in enumerate_matchings(n):
+                assert Matching(m.partner) == m
+                back = oscillating_to_matching(matching_to_oscillating(m)[0])
+                assert Matching(back.partner) == back
 
     def test_round_trip_random_large(self):
         for k in range(25):
@@ -300,8 +312,8 @@ class TestCrossingNestingOracle:
 
 
 class TestLazyTrace:
-    """The trace's tableaux are replayed through the public operations,
-    each a fully validated Tableau, and agree with the in-place walk."""
+    """The trace's tableaux are fully validated Tableaux, agree with the
+    in-place walk, and equal a replay through the public operations."""
 
     @staticmethod
     def check(m):
@@ -310,6 +322,15 @@ class TestLazyTrace:
         assert all(Tableau(t.rows) == t for t in tableaux)
         assert tuple(t.shape for t in tableaux) == osc.shapes
         assert trace.steps == osc.steps
+        tab = Tableau()
+        for i, j in enumerate(m.partner, start=1):
+            if i < j:
+                tab, route = row_insert(tab, j)
+                box = route.new_box
+            else:
+                tab, box = delete_min_and_slide(tab)
+            assert box == trace.steps[i - 1].box
+            assert tab == tableaux[i]
 
     def test_exhaustive(self):
         for n in range(1, 6):

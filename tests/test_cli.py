@@ -174,7 +174,17 @@ class TestClt:
             "json",
         )
         payload = json.loads(out)
+        assert set(payload) == {
+            "n",
+            "num_samples",
+            "seed",
+            "sample_mean_W",
+            "sample_var_W",
+            "ks_distance",
+            "target_var",
+        }
         assert payload["n"] == 50 and payload["num_samples"] == 400
+        assert payload["target_var"] == pytest.approx(1 / 6, rel=1e-11)
         assert code in (0, 1)
 
     def test_usage_errors(self, capsys):
@@ -214,6 +224,8 @@ class TestMgf:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["entries"]) == 2
+        for entry in payload["entries"]:
+            assert set(entry) == {"n", "s", "mgf_value", "target", "abs_error"}
 
 
 class TestLemma41:
