@@ -1,8 +1,10 @@
 """Exact descent polynomials, MGF/KS diagnostics, and the sampler experiment."""
 
 import hashlib
+import json
 import math
 import os
+from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
@@ -26,6 +28,7 @@ from matchstat import (
     polynomial_by_gf,
     sample_uniform,
 )
+from matchstat.cli import main
 from matchstat.distribution import (
     _check_moments,
     _descent_counts_range,
@@ -417,6 +420,25 @@ class TestCltExperiment:
     def test_mean_of_descent_count_near_n(self):
         counts = _descent_counts_range(4, 42, 0, 20000)
         assert abs(counts.mean() - 4) < 0.02
+
+    def test_json_schema(self, capsys):
+        # the report is written as json by the CLI alone: one key per field
+        report = clt_experiment(5, 50, 1)
+        argv = ["clt", "--n", "5", "--samples", "50", "--seed", "1", "--format", "json"]
+        assert main(argv) in (0, 1)
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == set(asdict(report)) == {
+            "n",
+            "num_samples",
+            "seed",
+            "sample_mean_W",
+            "sample_var_W",
+            "ks_distance",
+            "target_var",
+        }
+        for key, value in asdict(report).items():
+            assert payload[key] == pytest.approx(value, rel=1e-11, abs=1e-15)
+        assert payload["target_var"] == pytest.approx(1 / 6, rel=1e-11)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
