@@ -255,16 +255,24 @@ def cmd_tableau(args) -> Report:
 
 def cmd_clt(args) -> Report:
     r = clt_experiment(args.n, args.samples, args.seed)
+    # Each fixed tolerance plus a sampling allowance at B draws under the
+    # limit law N(0, 1/6): five standard errors of the sample mean and of
+    # the sample variance, and the DKW bound that a correct sampler
+    # exceeds with probability at most 1e-6.
+    b = r.num_samples
+    mean_bound = CLT_MEAN_TOL + 5 * math.sqrt(r.target_var / b)
+    var_bound = CLT_VAR_TOL + 5 * r.target_var * math.sqrt(2 / (b - 1))
+    ks_bound = CLT_KS_TOL + math.sqrt(math.log(2e6) / (2 * b))
     return Report(
         json.dumps(_rounded(asdict(r))),
         ["Monte Carlo check of W = (D - n)/sqrt(n) against N(0, 1/6)"],
         ("n", "num_samples", "seed", "sample_mean_W", "sample_var_W", "ks_distance"),
         [(r.n, r.num_samples, r.seed, r.sample_mean_W, r.sample_var_W, r.ks_distance)],
         {
-            f"|mean W| <= {CLT_MEAN_TOL}": abs(r.sample_mean_W) <= CLT_MEAN_TOL,
-            f"|var W - 1/6| <= {CLT_VAR_TOL}": abs(r.sample_var_W - r.target_var)
-            <= CLT_VAR_TOL,
-            f"KS distance <= {CLT_KS_TOL}": r.ks_distance <= CLT_KS_TOL,
+            f"|mean W| <= {mean_bound:.4g}": abs(r.sample_mean_W) <= mean_bound,
+            f"|var W - 1/6| <= {var_bound:.4g}": abs(r.sample_var_W - r.target_var)
+            <= var_bound,
+            f"KS distance <= {ks_bound:.4g}": r.ks_distance <= ks_bound,
         },
     )
 

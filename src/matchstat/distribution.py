@@ -39,8 +39,8 @@ import numpy as np
 from .matchings import (
     BudgetError,
     _check_sample_budget,
-    _random_partner,
-    _rng_for,
+    _check_stream,
+    _partners,
     closed_form_moments,
     descent_stats,
     double_factorial,
@@ -368,10 +368,17 @@ class CltReport:
 
 
 def _descent_counts_range(n: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """Descent counts of the draws on streams start .. stop-1.
+
+    Entry k - start counts the descents of the matching that
+    sample_uniform(n, seed, k) returns; the caller has checked n, seed
+    and start.
+    """
     out = np.empty(stop - start, dtype=np.int64)
-    for k in range(start, stop):
-        partner = _random_partner(n, _rng_for(seed, k))
-        out[k - start] = np.count_nonzero(partner[:-1] > partner[1:])
+    is_descent = np.empty(2 * n - 1, dtype=bool)
+    for i, partner in enumerate(_partners(n, seed, start, stop)):
+        np.greater(partner[:-1], partner[1:], out=is_descent)
+        out[i] = np.count_nonzero(is_descent)
     return out
 
 
@@ -402,14 +409,16 @@ def clt_experiment(
     count, which is further capped at the number of cores.  Reports the
     sample mean and variance of W and the KS distance, with both
     one-sided gaps measured at every sample lattice point.  The sample
-    variance needs ``num_samples >= 2``; n > SAMPLE_BUDGET raises
-    BudgetError before any draw.
+    variance needs ``num_samples >= 2``.  Before any draw or worker pool,
+    n > SAMPLE_BUDGET raises BudgetError and a seed outside [0, 2^64)
+    raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if num_samples < 2:
         raise ValueError("num_samples must be >= 2")
     _check_sample_budget(n)
+    _check_stream(seed, 0)
     workers = _resolve_workers(threads)
     if workers == 1 or num_samples < 4 * workers:
         counts = _descent_counts_range(n, seed, 0, num_samples)

@@ -208,30 +208,43 @@ def enumerate_matchings(n: int) -> Iterator[Matching]:
     return fill(tuple(range(1, 2 * n + 1)))
 
 
-def _rng_for(seed: int, stream: int) -> np.random.Generator:
-    if not 0 <= seed <= _UINT64_MAX:
-        raise ValueError("seed must be an unsigned 64-bit integer")
-    if stream < 0:
-        raise ValueError("stream must be non-negative")
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-    )
-
-
 def _check_sample_budget(n: int) -> None:
     # Called once per request, before any draw or worker pool.
     if n > SAMPLE_BUDGET:
         raise BudgetError("n", n, SAMPLE_BUDGET)
 
 
-def _random_partner(n: int, rng: np.random.Generator) -> np.ndarray:
-    # Shuffle the letters 1..2n and pair neighbours: letters perm[2t] and
-    # perm[2t+1] form the t-th block (uniform; see sample_uniform).
-    perm = rng.permutation(2 * n) + 1
-    partner = np.empty_like(perm)
-    partner[perm[0::2] - 1] = perm[1::2]
-    partner[perm[1::2] - 1] = perm[0::2]
-    return partner
+def _check_stream(seed: int, stream: int) -> None:
+    # Called once per request, next to _check_sample_budget: the draws
+    # themselves trust seed and every stream from this one on.
+    if not 0 <= seed <= _UINT64_MAX:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+    if stream < 0:
+        raise ValueError("stream must be non-negative")
+
+
+def _partners(n: int, seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    """The 0-based partner arrays of the draws on streams start .. stop-1.
+
+    Draw k shuffles the letters 0..2n-1 with the stream
+    PCG64(SeedSequence(seed, spawn_key=(k,))), the one default_rng gives
+    for that SeedSequence, and pairs the letters at positions 2t and 2t+1
+    (uniform; see sample_uniform).  Every draw overwrites and yields the
+    same array, so a caller must use it before taking the next one.
+    """
+    letters = np.arange(2 * n)
+    neighbour = letters ^ 1
+    perm = np.empty_like(letters)
+    partner = np.empty_like(letters)
+    for k in range(start, stop):
+        # numpy loads np.random on first access; reaching it only here
+        # keeps it, and its memory, out of processes that never draw
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+        rng = np.random.Generator(np.random.PCG64(seq))
+        perm[:] = letters
+        rng.shuffle(perm)  # the permutation rng.permutation(2n) would return
+        partner[perm] = perm[neighbour]
+        yield partner
 
 
 def sample_uniform(n: int, seed: int, stream: int = 0) -> Matching:
@@ -240,16 +253,19 @@ def sample_uniform(n: int, seed: int, stream: int = 0) -> Matching:
     Shuffles 1..2n uniformly and pairs the letters at positions 2t and
     2t+1.  The result is uniform: each matching arises from exactly
     2^n * n! of the (2n)! permutations (order its n blocks, then orient
-    each block).  Deterministic for fixed (seed, stream); distinct
-    streams give independent sequences, so callers may parallelize by
-    assigning one stream per draw.  Raises BudgetError for
-    n > SAMPLE_BUDGET.
+    each block).  The shuffle draws from PCG64 seeded by
+    SeedSequence(seed, spawn_key=(stream,)), so the result is
+    deterministic for fixed (seed, stream) and distinct streams are
+    independent: callers may parallelize by assigning one stream per
+    draw.  Raises ValueError unless 0 <= seed < 2^64 and stream >= 0, and
+    BudgetError for n > SAMPLE_BUDGET.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_sample_budget(n)
-    partner = _random_partner(n, _rng_for(seed, stream))
-    return Matching._trusted(tuple(partner.tolist()))
+    _check_stream(seed, stream)
+    partner = next(_partners(n, seed, stream, stream + 1))
+    return Matching._trusted(tuple((partner + 1).tolist()))
 
 
 _STAT_FIELDS = (

@@ -1,5 +1,10 @@
 """The public surface: one ``__all__`` per module, re-exported whole."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import matchstat
 from matchstat import bijection, distribution, matchings, tableaux
 
@@ -23,3 +28,19 @@ def test_removed_names_stay_removed():
         assert not hasattr(matchstat, name)
         assert all(not hasattr(module, name) for module in MODULES)
     assert not hasattr(matchstat.CltReport, "to_json")
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads np.random on first access, at about 6 MB; only a draw
+    # needs it, so importing the package must not
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, matchstat; print('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -160,6 +160,16 @@ class TestClt:
         assert code == 1
         assert "FAIL" in out
 
+    def test_bounds_scale_with_samples(self, capsys):
+        # at B = 2000 the variance allows 0.005 + 5 (1/6) sqrt(2/1999)
+        code, out, _ = run(
+            capsys, "clt", "--n", "1000", "--samples", "2000", "--seed", "42"
+        )
+        assert code == 0
+        assert "|mean W| <= 0.05564: PASS" in out
+        assert "|var W - 1/6| <= 0.03136: PASS" in out
+        assert "KS distance <= 0.1102: PASS" in out
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys,

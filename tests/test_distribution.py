@@ -384,6 +384,15 @@ class TestCltExperiment:
         with pytest.raises(BudgetError, match="n=21 exceeds the budget n <= 20"):
             clt_experiment(21, 300, 9, threads=2)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_checked_before_any_pool(self, monkeypatch, seed):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr("matchstat.distribution.ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            clt_experiment(10, 100, seed, threads=2)
+
     def test_worker_count_does_not_change_output(self):
         assert clt_experiment(20, 300, 9, threads=1) == clt_experiment(
             20, 300, 9, threads=2
@@ -396,6 +405,21 @@ class TestCltExperiment:
             for k in range(12)
         ]
         assert counts.tolist() == expected
+
+    # sha256 of repr(_descent_counts_range(n, 42, 0, 200).tolist()),
+    # computed on the sampler that drew with rng.permutation per stream
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (1, "36df4597b03fb95f666f114f552fed956c56a532e1c123953225b816080bda32"),
+            (3, "d8dcd7713c3ac2cca2e54b58e3a88a22a7e55e09419ad6bf3077b06b564c9fba"),
+            (10, "0d94a7e3a810926a27794caa12dea2bc491741571229ae6bfef7b41dee7cd977"),
+            (1000, "ce7d4957f828e7becc8d218f63090d82613be1161da6242e0bec53c5426b5f23"),
+        ],
+    )
+    def test_seeded_counts_digest(self, n, digest):
+        counts = _descent_counts_range(n, 42, 0, 200).tolist()
+        assert hashlib.sha256(repr(counts).encode()).hexdigest() == digest
 
     def test_moderate_run_is_sane(self):
         report = clt_experiment(100, 3000, 42)

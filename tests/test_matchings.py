@@ -1,5 +1,7 @@
 """Core matching type, enumeration, sampling, and exact moments."""
 
+import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -213,6 +215,46 @@ class TestSampling:
             counts[str(sample_uniform(2, 42, stream=k))] += 1
         for c in counts.values():
             assert abs(c - draws / 3) < 200  # ~5 sigma
+
+    # sha256 of repr([sample_uniform(n, 42, k).partner for k in range(50)]),
+    # computed on the sampler that drew with rng.permutation per stream
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (1, "4468634477a67d26c70125e062cf7eea46449a462d768fc96825eba82266ba40"),
+            (3, "e8582f58246fdfd3c489e8ca20c4c4a95945c95568f99dc9336500d14a688861"),
+            (1000, "68e3ca7fd74ace687f01f8b755da5ca36db7e5347c27ae7b5aaf1437766bc9b1"),
+        ],
+    )
+    def test_seeded_draws_digest(self, n, digest):
+        draws = [sample_uniform(n, 42, stream=k).partner for k in range(50)]
+        assert hashlib.sha256(repr(draws).encode()).hexdigest() == digest
+
+    def test_joint_des_maj_chi_square_n6(self):
+        # Pearson's test of the (descent count, maj) cells of seeded draws
+        # against the exact joint law of all 10395 matchings at n = 6.
+        # Cells expected below 5 draws are pooled into one: 125 cells plus
+        # the pool, df = 125.  The critical value is the upper 1e-6
+        # quantile of chi-square(125), 215.0146, so a correct sampler
+        # fails with probability 1e-6; unlike the DKW check of the descent
+        # count alone, it sees how the descents are placed.
+        def cell(m):
+            st = descent_stats(m)
+            return st.descent_count, st.major_index
+
+        draws = 20000
+        law = Counter(cell(m) for m in enumerate_matchings(6))
+        total = double_factorial(11)
+        seen = Counter(cell(sample_uniform(6, 42, stream=k)) for k in range(draws))
+        assert len(law) == 171 and set(seen) <= set(law)
+        kept = [c for c in law if draws * law[c] >= 5 * total]
+        pooled = [c for c in law if c not in kept]
+        expected = [draws * law[c] / total for c in kept]
+        expected.append(draws * sum(law[c] for c in pooled) / total)
+        observed = [seen[c] for c in kept] + [sum(seen[c] for c in pooled)]
+        assert len(expected) - 1 == 125
+        stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+        assert stat <= 215.01
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
