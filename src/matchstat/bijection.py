@@ -11,6 +11,14 @@ forward map and the inverse run them on one working tableau, changed in
 place.  Conjugating a shape transposes its diagram, so the conjugate
 walk swaps row and column in every step.
 
+A walk built from its steps (the forward map and conjugation) is checked
+per step, in O(1) at the step's corner: each box must be an addable or
+removable corner of the shape before it, and the walk must end empty.
+That makes every shape a partition one box from the next, so its shapes
+are built unchecked.  ``OscillatingTableau(shapes)`` is the boundary
+check for a walk from outside, such as ``parse_oscillating``: it checks
+every shape and re-derives every step from consecutive shapes.
+
 Conjugating every shape of the walk is an involution on matchings.  Under
 it the descent number reflects about n + 1 and the major index about n^2,
 which is checked here through a six-way classification of each position
@@ -88,6 +96,17 @@ class OscillatingTableau:
                     f"shapes {idx - 1} and {idx} do not differ by one box"
                 )
         object.__setattr__(self, "steps", tuple(steps))
+
+    @classmethod
+    def _trusted(
+        cls, shapes: tuple[Partition, ...], steps: tuple[TraceStep, ...]
+    ) -> OscillatingTableau:
+        # Only for shapes ``_shapes`` has just built from these steps,
+        # checking each one at its corner: skips re-deriving the steps.
+        t = object.__new__(cls)
+        object.__setattr__(t, "shapes", shapes)
+        object.__setattr__(t, "steps", steps)
+        return t
 
     @property
     def n(self) -> int:
@@ -185,26 +204,51 @@ def _transpose(steps) -> list[TraceStep]:
 
 
 def _shapes(steps) -> tuple[Partition, ...]:
-    """The shapes of a walk from the empty shape, one row length changing per step."""
+    """The shapes of a walk from the empty shape, each step checked at its corner.
+
+    An insertion must add a box at an addable corner and a removal take
+    one from a removable corner, and the walk must end empty.  By
+    induction every shape is then a partition that differs from the one
+    before by exactly the step's box, which is all ``OscillatingTableau``
+    would re-derive from the shapes, so they are built unchecked.
+    """
+    trusted = Partition._trusted
     lengths: list[int] = []
     shapes = [Partition()]
-    for (row, _), insertion in steps:
-        if not insertion:
-            lengths[row - 1] -= 1
-            if not lengths[row - 1]:
-                del lengths[row - 1]
-        elif row > len(lengths):
-            lengths.append(1)
+    for idx, ((row, col), insertion) in enumerate(steps, start=1):
+        r = row - 1
+        if insertion:
+            if r == len(lengths) and col == 1:
+                lengths.append(1)
+            elif (
+                0 <= r < len(lengths)
+                and col == lengths[r] + 1
+                and (not r or lengths[r - 1] >= col)
+            ):
+                lengths[r] = col
+            else:
+                raise ValueError(f"shapes {idx - 1} and {idx} do not differ by one box")
+        elif (
+            0 <= r < len(lengths)
+            and col == lengths[r]
+            and (r + 1 == len(lengths) or lengths[r + 1] < col)
+        ):
+            if col == 1:
+                lengths.pop()
+            else:
+                lengths[r] = col - 1
         else:
-            lengths[row - 1] += 1
-        shapes.append(Partition(tuple(lengths)))
+            raise ValueError(f"shapes {idx - 1} and {idx} do not differ by one box")
+        shapes.append(trusted(tuple(lengths)))
+    if lengths:
+        raise ValueError("the walk must start and end at the empty shape")
     return tuple(shapes)
 
 
 def matching_to_oscillating(m: Matching) -> tuple[OscillatingTableau, BijectionTrace]:
     """Map a matching to its shape walk, keeping the full trace."""
     steps = tuple(_walk(m))
-    return OscillatingTableau(_shapes(steps)), BijectionTrace(m, steps)
+    return OscillatingTableau._trusted(_shapes(steps), steps), BijectionTrace(m, steps)
 
 
 def oscillating_to_matching(t: OscillatingTableau) -> Matching:
@@ -214,7 +258,8 @@ def oscillating_to_matching(t: OscillatingTableau) -> Matching:
 
 def conjugate_oscillating(t: OscillatingTableau) -> OscillatingTableau:
     """Conjugate every shape of the walk; involutive."""
-    return OscillatingTableau(_shapes(_transpose(t.steps)))
+    steps = tuple(_transpose(t.steps))
+    return OscillatingTableau._trusted(_shapes(steps), steps)
 
 
 def conjugate_matching(m: Matching) -> Matching:

@@ -34,6 +34,7 @@ from .distribution import (
 )
 from .matchings import (
     MomentReport,
+    _check_draw_budget,
     brute_force_moments,
     closed_form_moments,
     compare_reports,
@@ -214,6 +215,9 @@ def cmd_tableau(args) -> Report:
     if args.matching is None:
         if args.n is None:
             raise ValueError("--random requires --n")
+        # the bijection both ways moves each letter along a route of about
+        # sqrt(2n) cells, each move several times the cost of a drawn letter
+        _check_draw_budget(args.n, args.random, 16 * math.isqrt(2 * args.n))
         failures = 0
         for k in range(args.random):
             m = sample_uniform(args.n, args.seed, stream=k)

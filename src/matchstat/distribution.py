@@ -38,6 +38,7 @@ import numpy as np
 
 from .matchings import (
     BudgetError,
+    _check_draw_budget,
     _check_sample_budget,
     _check_stream,
     _partners,
@@ -410,14 +411,16 @@ def clt_experiment(
     sample mean and variance of W and the KS distance, with both
     one-sided gaps measured at every sample lattice point.  The sample
     variance needs ``num_samples >= 2``.  Before any draw or worker pool,
-    n > SAMPLE_BUDGET raises BudgetError and a seed outside [0, 2^64)
-    raises ValueError.
+    n > SAMPLE_BUDGET or a draw cost num_samples * max(2n, 1024) above
+    DRAW_BUDGET raises BudgetError and a seed outside [0, 2^64) raises
+    ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if num_samples < 2:
         raise ValueError("num_samples must be >= 2")
     _check_sample_budget(n)
+    _check_draw_budget(n, num_samples)
     _check_stream(seed, 0)
     workers = _resolve_workers(threads)
     if workers == 1 or num_samples < 4 * workers:

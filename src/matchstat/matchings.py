@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "SAMPLE_BUDGET",
+    "DRAW_BUDGET",
     "BudgetError",
     "Matching",
     "DescentStats",
@@ -38,6 +39,12 @@ _UINT64_MAX = 2**64 - 1
 #: Largest n for which a matching of 2n letters is drawn at random; one
 #: draw at this n holds about 100 MB.
 SAMPLE_BUDGET = 2**20
+
+#: Largest draw cost of one request.  A request for B draws at n costs
+#: B * max(2n, 1024) letters, so every draw pays at least a fixed cost
+#: and no n escapes the budget; 100000 draws at n = 1000 cost 2 * 10^8.
+DRAW_BUDGET = 2**28
+_DRAW_FLOOR = 1024
 
 
 class BudgetError(RuntimeError):
@@ -212,6 +219,14 @@ def _check_sample_budget(n: int) -> None:
     # Called once per request, before any draw or worker pool.
     if n > SAMPLE_BUDGET:
         raise BudgetError("n", n, SAMPLE_BUDGET)
+
+
+def _check_draw_budget(n: int, draws: int, per_letter: int = 1) -> None:
+    # Called once per request, next to _check_sample_budget; a caller
+    # that does more than draw charges ``per_letter`` for each letter.
+    cost = draws * max(2 * n, _DRAW_FLOOR) * per_letter
+    if cost > DRAW_BUDGET:
+        raise BudgetError("draw cost", cost, DRAW_BUDGET)
 
 
 def _check_stream(seed: int, stream: int) -> None:

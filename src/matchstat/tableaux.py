@@ -14,9 +14,16 @@ as a list of row lists (``_insert``, ``_unbump``, ``_slide``,
 ``_unslide``), so the bijection can run 2n steps on one tableau.  After
 writing, an operation re-checks row and column order only at the cells
 it wrote, against their neighbours: O(route) work that, applied to a
-valid tableau, keeps it valid.  The public functions copy an immutable
-``Tableau``, apply the in-place operation and freeze the result, and
-every constructed ``Tableau`` re-checks all of its invariants.
+valid tableau, keeps it valid.  The slides move the hole while holding
+the row it is in and the row next to it.  The public functions copy an
+immutable ``Tableau``, apply the in-place operation and freeze the
+result, and every constructed ``Tableau`` re-checks all of its
+invariants.
+
+Every ``Partition`` checks its parts, except the shapes of a walk the
+bijection builds from its steps: it checks each step at its corner and
+builds them with ``Partition._trusted``.  ``OscillatingTableau(shapes)``
+stays the full check for walks from outside.
 """
 
 from __future__ import annotations
@@ -61,6 +68,14 @@ class Partition:
             if prev is not None and part > prev:
                 raise ValueError(f"parts must be weakly decreasing, got {self.parts}")
             prev = part
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> Partition:
+        # Only for row lengths this package has just checked to be a
+        # partition: skips the pure-Python check of every part.
+        p = object.__new__(cls)
+        object.__setattr__(p, "parts", parts)
+        return p
 
     @property
     def size(self) -> int:
@@ -249,22 +264,27 @@ def _slide(rows: list[list[int]]) -> Box:
     if not rows:
         raise ValueError("cannot delete from an empty tableau")
     cells = []
+    last = len(rows) - 1
     r = c = 0
+    row = rows[0]
+    below = rows[1] if last else []
+    end, reach = len(row) - 1, len(below)
     while True:
-        row = rows[r]
-        right = row[c + 1] if c + 1 < len(row) else None
-        below = rows[r + 1][c] if r + 1 < len(rows) and c < len(rows[r + 1]) else None
-        if right is None and below is None:
-            break
-        cells.append((r, c))
-        if below is None or (right is not None and right < below):
-            row[c] = right
+        if c < end and not (c < reach and below[c] <= row[c + 1]):
+            cells.append((r, c))
+            row[c] = row[c + 1]
             c += 1
-        else:
-            row[c] = below
+        elif c < reach:
+            cells.append((r, c))
+            row[c] = below[c]
             r += 1
-    rows[r].pop()
-    if not rows[r]:
+            row = below
+            below = rows[r + 1] if r < last else []
+            end, reach = reach - 1, len(below)
+        else:
+            break
+    row.pop()
+    if not row:
         del rows[r]
     _check_cells(rows, cells)
     return Box(r + 1, c + 1)
@@ -286,17 +306,23 @@ def _unslide(rows: list[list[int]], corner: Box, v: int) -> None:
             f"{tuple(corner)} is not an addable corner of shape {_shape(rows)}"
         )
     cells = [(r, c)]
-    while (r, c) != (0, 0):
-        above = rows[r - 1][c] if r > 0 else None
-        left = rows[r][c - 1] if c > 0 else None
-        if left is None or (above is not None and above >= left):
-            rows[r][c] = above
-            r -= 1
-        else:
-            rows[r][c] = left
+    row = rows[r]
+    while r:
+        above = rows[r - 1]
+        x = above[c]
+        if c and row[c - 1] > x:
+            row[c] = row[c - 1]
             c -= 1
+        else:
+            row[c] = x
+            r -= 1
+            row = above
         cells.append((r, c))
-    rows[0][0] = v
+    while c:
+        row[c] = row[c - 1]
+        c -= 1
+        cells.append((0, c))
+    row[0] = v
     _check_cells(rows, cells)
 
 

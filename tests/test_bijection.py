@@ -1,5 +1,6 @@
 """The matching <-> oscillating-tableau correspondence and conjugation."""
 
+import hashlib
 from bisect import bisect_left
 from itertools import combinations
 
@@ -8,11 +9,13 @@ import pytest
 from matchstat import (
     DESCENT_CASES,
     BijectionTrace,
+    Box,
     Matching,
     OscillatingTableau,
     Partition,
     PositionCase,
     Tableau,
+    TraceStep,
     classify_position,
     conjugate_matching,
     conjugate_oscillating,
@@ -26,12 +29,21 @@ from matchstat import (
     row_insert,
     sample_uniform,
 )
+from matchstat.bijection import _shapes
 
 SIGMA = from_pairs([(1, 4), (2, 3), (5, 6)])
 
 
 def shapes_of(text):
     return parse_oscillating(text)
+
+
+def sample_matchings():
+    """Every matching with n <= 5, then 8 draws at 2n = 2000."""
+    for n in range(1, 6):
+        yield from enumerate_matchings(n)
+    for k in range(8):
+        yield sample_uniform(1000, 17, stream=k)
 
 
 class TestForwardMap:
@@ -153,6 +165,57 @@ class TestOscillatingValidation:
         assert str(parse_oscillating(text)) == text
 
 
+class TestStepBuiltWalk:
+    """Walks built from their steps are checked per step at the step's
+    corner; the full constructor, which re-derives every step from the
+    shapes, must accept them and agree."""
+
+    def test_agrees_with_full_constructor(self):
+        for m in sample_matchings():
+            osc, _ = matching_to_oscillating(m)
+            for walk in (osc, conjugate_oscillating(osc)):
+                full = OscillatingTableau(walk.shapes)
+                assert full == walk
+                assert full.steps == walk.steps
+
+    @staticmethod
+    def steps(*moves):
+        return [TraceStep(Box(row, col), insertion) for row, col, insertion in moves]
+
+    @pytest.mark.parametrize(
+        "moves,message",
+        [
+            # a new row more than one below the last row
+            ([(1, 1, True), (3, 1, True)], "shapes 1 and 2 do not differ by one box"),
+            # a new row that does not start in column 1
+            ([(1, 1, True), (2, 2, True)], "shapes 1 and 2 do not differ by one box"),
+            # a column past the end of the row
+            ([(1, 1, True), (1, 3, True)], "shapes 1 and 2 do not differ by one box"),
+            # a column the row above does not reach
+            ([(1, 1, True), (2, 1, True), (2, 2, True)], "shapes 2 and 3 do not"),
+            # a removal inside the row, not at its end
+            ([(1, 1, True), (1, 2, True), (1, 1, False)], "shapes 2 and 3 do not"),
+            # a removal at the end of a row the row below is as long as
+            ([(1, 1, True), (2, 1, True), (1, 1, False)], "shapes 2 and 3 do not"),
+            # a removal from the empty shape
+            ([(1, 1, False), (1, 1, True)], "shapes 0 and 1 do not"),
+            # a row that does not exist
+            ([(1, 1, True), (0, 1, True)], "shapes 1 and 2 do not"),
+            # every step at a corner, but the walk ends at (1, 1)
+            ([(1, 1, True), (2, 1, True)], "start and end at the empty shape"),
+        ],
+    )
+    def test_corner_check_rejects(self, moves, message):
+        with pytest.raises(ValueError, match=message):
+            _shapes(self.steps(*moves))
+
+    def test_corner_check_accepts(self):
+        shapes = _shapes(self.steps((1, 1, True), (1, 2, True), (2, 1, True),
+                                    (1, 2, False), (2, 1, False), (1, 1, False)))
+        assert [p.parts for p in shapes] == [(), (1,), (2,), (2, 1), (1, 1), (1,), ()]
+        assert all(Partition(p.parts) == p for p in shapes)
+
+
 class TestConjugation:
     def test_conjugate_oscillating_example(self):
         osc, _ = matching_to_oscillating(SIGMA)
@@ -242,6 +305,30 @@ class TestSymmetryIdentities:
             st_conj = descent_stats(conjugate_matching(m))
             assert st.descent_number + st_conj.descent_number == 2 * (n + 1)
             assert st.major_index + st_conj.major_index == 2 * n * n
+
+
+class TestOutputDigest:
+    # sha256 over the inputs of sample_matchings of every output below,
+    # computed with the walk checked by re-deriving each step from the shapes
+    DIGEST = "8691b3fbc7788d37eaeb8e9f652a195f737bafddf433b0ac8484cd1fbbd0c882"
+
+    def test_outputs_digest(self):
+        h = hashlib.sha256()
+        for m in sample_matchings():
+            osc, trace = matching_to_oscillating(m)
+            conj = conjugate_oscillating(osc)
+            record = (
+                str(osc),
+                osc.steps,
+                trace.steps,
+                oscillating_to_matching(osc).partner,
+                conjugate_matching(m).partner,
+                str(conj),
+                conj.steps,
+                [int(classify_position(osc, i)) for i in range(1, m.size)],
+            )
+            h.update(repr(record).encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 def max_pairwise(arcs, related):

@@ -139,6 +139,15 @@ class TestTableau:
             "round_trip": True,
         }
 
+    def test_draw_budget_checked_before_any_draw(self, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a matching was drawn")
+
+        monkeypatch.setattr("matchstat.cli.sample_uniform", no_draw)
+        code, out, err = run(capsys, "tableau", "--random", "2000", "--n", "50")
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "draw cost=327680000 exceeds" in err
+
     def test_random_requires_n(self, capsys):
         code, _, _ = run(capsys, "tableau", "--random", "5")
         assert code == 2
@@ -335,6 +344,10 @@ BAD_INPUTS = [
     (["lemma41", "--n", "300000"], 3),
     (["clt", "--n", "2000000"], 3),
     (["tableau", "--random", "1", "--n", "2000000"], 3),
+    (["clt", "--n", "1", "--samples", "1000000000000"], 3),
+    (["clt", "--n", "512", "--samples", "262145"], 3),
+    (["tableau", "--random", "1000000000", "--n", "1"], 3),
+    (["tableau", "--random", "1", "--n", "40000"], 3),
 ]
 
 

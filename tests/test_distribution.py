@@ -384,6 +384,20 @@ class TestCltExperiment:
         with pytest.raises(BudgetError, match="n=21 exceeds the budget n <= 20"):
             clt_experiment(21, 300, 9, threads=2)
 
+    def test_draw_budget_checked_before_any_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr("matchstat.matchings.DRAW_BUDGET", 300 * 1024)
+        monkeypatch.setattr("matchstat.distribution.ProcessPoolExecutor", no_pool)
+        assert clt_experiment(20, 300, 9, threads=1).num_samples == 300
+        # every draw is charged at least 1024 letters, n = 1 included
+        for n in (1, 20, 512):
+            with pytest.raises(BudgetError, match="draw cost=308224 exceeds"):
+                clt_experiment(n, 301, 9, threads=2)
+        with pytest.raises(BudgetError, match="draw cost=308000 exceeds"):
+            clt_experiment(1000, 154, 9, threads=2)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_checked_before_any_pool(self, monkeypatch, seed):
         def no_pool(*args, **kwargs):

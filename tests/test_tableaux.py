@@ -253,6 +253,11 @@ class TestLocalChecks:
         with pytest.raises(ValueError, match="rows must be weakly increasing"):
             _insert(rows, 5)
 
+    def test_row_lengths(self):
+        rows = [[1], [2, 3, 4]]  # the 2 moves up to (1,1) over a longer row
+        with pytest.raises(ValueError, match="row lengths must be weakly decreasing"):
+            _slide(rows)
+
     def test_valid_tableau_passes(self):
         rows = [[1, 3], [2]]
         assert _insert(rows, 4) == [2]
