@@ -33,14 +33,17 @@ from .distribution import (
     polynomial_by_gf,
 )
 from .matchings import (
+    Matching,
     MomentReport,
     _check_draw_budget,
+    _check_sample_budget,
+    _check_stream,
+    _partners,
     brute_force_moments,
     closed_form_moments,
     compare_reports,
     descent_stats,
     parse_matching,
-    sample_uniform,
 )
 
 CLT_MEAN_TOL = 0.01
@@ -218,9 +221,12 @@ def cmd_tableau(args) -> Report:
         # the bijection both ways moves each letter along a route of about
         # sqrt(2n) cells, each move several times the cost of a drawn letter
         _check_draw_budget(args.n, args.random, 16 * math.isqrt(2 * args.n))
+        _check_sample_budget(args.n)
+        _check_stream(args.seed, 0)
         failures = 0
-        for k in range(args.random):
-            m = sample_uniform(args.n, args.seed, stream=k)
+        # draw k is the matching sample_uniform(n, seed, k) returns
+        for partner in _partners(args.n, args.seed, 0, args.random):
+            m = Matching._trusted(tuple((partner + 1).tolist()))
             osc, _ = matching_to_oscillating(m)
             failures += oscillating_to_matching(osc) != m
         payload = {

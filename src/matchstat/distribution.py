@@ -372,8 +372,10 @@ def _descent_counts_range(n: int, seed: int, start: int, stop: int) -> np.ndarra
     """Descent counts of the draws on streams start .. stop-1.
 
     Entry k - start counts the descents of the matching that
-    sample_uniform(n, seed, k) returns; the caller has checked n, seed
-    and start.
+    sample_uniform(n, seed, k) returns, drawn from the same stream
+    PCG64(SeedSequence(seed, spawn_key=(k,))) with its state computed
+    per block of streams (see _partners), so the counts do not depend on
+    how a range is cut; the caller has checked n, seed and start.
     """
     out = np.empty(stop - start, dtype=np.int64)
     is_descent = np.empty(2 * n - 1, dtype=bool)

@@ -238,24 +238,121 @@ def _check_stream(seed: int, stream: int) -> None:
         raise ValueError("stream must be non-negative")
 
 
+#: Streams whose PCG64 states _partners computes in one pass.
+_STREAM_BLOCK = 256
+#: First stream whose spawn key has two 32-bit words.
+_TWO_WORD_STREAM = 2**32
+
+_M32 = 0xFFFFFFFF
+_M128 = 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[int, ...]:
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _M32)
+    return tuple(out)
+
+
+# numpy's SeedSequence (pool size 4): hash call j of its entropy mixing
+# xors with _MIX_HASH[j] and multiplies by _MIX_HASH[j + 1]; word i of
+# generate_state does the same with _STATE_HASH.
+_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 20)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash(value, xor, mul):
+    # on Python ints or numpy uint32 arrays alike
+    value = (value ^ xor) * mul & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return value ^ value >> 16
+
+
+def _stream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of the streams start .. stop-1, stop <= 2^32.
+
+    Entry k - start is PCG64(SeedSequence(seed, spawn_key=(k,))).state,
+    computed in one pass as numpy's SeedSequence documentation and
+    O'Neill's PCG report (HMC-CS-2014-0905) define it.  The entropy is
+    the two 32-bit words of seed padded with zeros to the pool size 4,
+    then the word k, so only the last mixing round depends on k: it and
+    generate_state(4, uint64) run vectorised over k.
+    """
+    h = _MIX_HASH
+    entropy = (seed & _M32, seed >> 32, 0, 0)
+    pool = [_hash(w, h[j], h[j + 1]) for j, w in enumerate(entropy)]
+    j = 4
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], h[j], h[j + 1]))
+                j += 1
+    k = np.arange(start, stop, dtype=np.uint32)
+    h = np.array(_MIX_HASH, dtype=np.uint32)[:, None]
+    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], _hash(k, h[16:20], h[17:21]))
+    h = np.array(_STATE_HASH, dtype=np.uint32)[:, None]
+    words = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], h[:8], h[1:]).astype(np.uint64)
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in (words[0::2] | words[1::2] << 32).T.tolist():
+        # PCG64's seeding: inc = 2 initseq + 1, then state = initstate
+        # between two LCG steps from 0
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _M128, inc))
+    return states
+
+
+def _stream_generators(
+    seed: int, start: int, stop: int
+) -> Iterator[np.random.Generator]:
+    # Yields, for k = start .. stop-1, a Generator at the start of stream
+    # k: one reused Generator per range, or numpy's constructors for a
+    # range of one stream (cheaper than a pass) and for streams >= 2^32.
+    # States are computed a block at a time, so memory does not grow
+    # with the range.
+    # numpy loads np.random on first access; reaching it only here keeps
+    # it, and its memory, out of processes that never draw.
+    random = np.random
+    block_stop = min(stop, _TWO_WORD_STREAM) if stop - start > 1 else start
+    if start < block_stop:
+        bits = random.PCG64(0)
+        rng = random.Generator(bits)
+        for a in range(start, block_stop, _STREAM_BLOCK):
+            b = min(a + _STREAM_BLOCK, block_stop)
+            for state, inc in _stream_states(seed, a, b):
+                bits.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                yield rng
+    for k in range(max(start, block_stop), stop):
+        yield random.Generator(random.PCG64(random.SeedSequence(seed, spawn_key=(k,))))
+
+
 def _partners(n: int, seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
     """The 0-based partner arrays of the draws on streams start .. stop-1.
 
     Draw k shuffles the letters 0..2n-1 with the stream
     PCG64(SeedSequence(seed, spawn_key=(k,))), the one default_rng gives
     for that SeedSequence, and pairs the letters at positions 2t and 2t+1
-    (uniform; see sample_uniform).  Every draw overwrites and yields the
-    same array, so a caller must use it before taking the next one.
+    (uniform; see sample_uniform).  The stream is the same however the
+    range is cut: a range of several streams computes their PCG64 states
+    _STREAM_BLOCK streams at a time (_stream_states) and sets each on one
+    reused PCG64, while a range of one stream, and every stream k >= 2^32,
+    is built by numpy's constructors.  Every draw overwrites and yields
+    the same array, so a caller must use it before taking the next one.
     """
     letters = np.arange(2 * n)
     neighbour = letters ^ 1
     perm = np.empty_like(letters)
     partner = np.empty_like(letters)
-    for k in range(start, stop):
-        # numpy loads np.random on first access; reaching it only here
-        # keeps it, and its memory, out of processes that never draw
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
-        rng = np.random.Generator(np.random.PCG64(seq))
+    for rng in _stream_generators(seed, start, stop):
         perm[:] = letters
         rng.shuffle(perm)  # the permutation rng.permutation(2n) would return
         partner[perm] = perm[neighbour]
@@ -269,17 +366,21 @@ def sample_uniform(n: int, seed: int, stream: int = 0) -> Matching:
     2t+1.  The result is uniform: each matching arises from exactly
     2^n * n! of the (2n)! permutations (order its n blocks, then orient
     each block).  The shuffle draws from PCG64 seeded by
-    SeedSequence(seed, spawn_key=(stream,)), so the result is
-    deterministic for fixed (seed, stream) and distinct streams are
-    independent: callers may parallelize by assigning one stream per
-    draw.  Raises ValueError unless 0 <= seed < 2^64 and stream >= 0, and
-    BudgetError for n > SAMPLE_BUDGET.
+    SeedSequence(seed, spawn_key=(stream,)), built here by numpy's
+    constructors and computed per block of streams where a whole range
+    is drawn, with the same states.  The result is deterministic for
+    fixed (seed, stream) and distinct streams are independent: callers
+    may parallelize by assigning one stream per draw.  Raises ValueError
+    unless 0 <= seed < 2^64 and stream >= 0, and BudgetError for
+    n > SAMPLE_BUDGET.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_sample_budget(n)
     _check_stream(seed, stream)
-    partner = next(_partners(n, seed, stream, stream + 1))
+    # unpacking runs both generators to their end: closing them while
+    # suspended, as next() would leave them, costs about 1 us per draw
+    (partner,) = _partners(n, seed, stream, stream + 1)
     return Matching._trusted(tuple((partner + 1).tolist()))
 
 

@@ -35,6 +35,7 @@ from matchstat.distribution import (
     _normal_cdf,
     _resolve_workers,
 )
+from matchstat.matchings import _STREAM_BLOCK
 
 from gf_oracle import gf_coefficient
 
@@ -419,6 +420,21 @@ class TestCltExperiment:
             for k in range(12)
         ]
         assert counts.tolist() == expected
+
+    @pytest.mark.parametrize("n", [3, 1000])
+    def test_counts_do_not_depend_on_the_split(self, n):
+        # a range seeds _STREAM_BLOCK streams per pass and a range of one
+        # stream uses numpy's constructors; cuts on and off the block size
+        # and ranges of one stream must all give the same counts, as the
+        # worker split of clt_experiment relies on
+        b = _STREAM_BLOCK
+        total = 2 * b + 50
+        cuts = [0, 1, 2, b - 1, b, b + 1, 2 * b, 2 * b + 1, total]
+        whole = _descent_counts_range(n, 42, 0, total).tolist()
+        parts = [_descent_counts_range(n, 42, a, c) for a, c in zip(cuts, cuts[1:])]
+        assert np.concatenate(parts).tolist() == whole
+        singles = [_descent_counts_range(n, 42, k, k + 1)[0] for k in range(total)]
+        assert singles == whole
 
     # sha256 of repr(_descent_counts_range(n, 42, 0, 200).tolist()),
     # computed on the sampler that drew with rng.permutation per stream

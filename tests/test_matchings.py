@@ -4,6 +4,7 @@ import hashlib
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from matchstat import (
@@ -19,6 +20,7 @@ from matchstat import (
     parse_matching,
     sample_uniform,
 )
+from matchstat.matchings import _partners, _stream_states
 
 
 @pytest.mark.parametrize(
@@ -267,6 +269,38 @@ class TestSampling:
         assert sample_uniform(5, 1).n == 5
         with pytest.raises(BudgetError, match="n=6 exceeds the budget n <= 5"):
             sample_uniform(6, 1)
+
+
+class TestStreamStates:
+    # numpy's stream compatibility policy (NEP 19) fixes SeedSequence and
+    # PCG64, so these states must equal numpy's; a failure here means the
+    # computed states, or numpy, broke the seeded draws
+    STREAMS = (0, 1, 777, 1999, 2**32 - 2, 2**32 - 1)
+
+    @staticmethod
+    def numpy_state(seed, k):
+        bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,)))
+        state = bits.state["state"]
+        return state["state"], state["inc"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32, 2**63 + 12345, 2**64 - 1])
+    def test_states_equal_numpy(self, seed):
+        low = _stream_states(seed, 0, 2000)
+        high = _stream_states(seed, 2**32 - 2, 2**32)
+        assert len(low) == 2000 and len(high) == 2
+        for k in self.STREAMS:
+            expected = self.numpy_state(seed, k)
+            assert _stream_states(seed, k, k + 1) == [expected], k
+            assert (low[k] if k < 2000 else high[k - 2**32 + 2]) == expected, k
+
+    def test_range_across_two_word_streams(self):
+        # streams from 2^32 on have a two-word spawn key and are built by
+        # numpy's constructors, as every single sample_uniform stream is
+        start, stop = 2**32 - 3, 2**32 + 3
+        drawn = [tuple((p + 1).tolist()) for p in _partners(7, 42, start, stop)]
+        assert drawn == [
+            sample_uniform(7, 42, stream=k).partner for k in range(start, stop)
+        ]
 
 
 class TestClosedFormMoments:
