@@ -11,13 +11,18 @@ round-trip tests, which are the binding contract.
 
 Each operation is implemented once, in place on a working tableau held
 as a list of row lists (``_insert``, ``_unbump``, ``_slide``,
-``_unslide``), so the bijection can run 2n steps on one tableau.  After
-writing, an operation re-checks row and column order only at the cells
-it wrote, against their neighbours: O(route) work that, applied to a
-valid tableau, keeps it valid.  The slides move the hole while holding
-the row it is in and the row next to it.  The public functions copy an
-immutable ``Tableau``, apply the in-place operation and freeze the
-result, and every constructed ``Tableau`` re-checks all of its
+``_unslide``), so the bijection can run 2n steps on one tableau.  Each
+operation compares every value it writes with its neighbours while it
+holds them in local variables, at the point where the pair becomes
+final, and checks the length of the row above each written cell: O(route)
+work that, applied to a valid tableau, keeps it valid.  It skips only
+what its own choice has just settled: the bounds ``bisect`` gives the
+insertions, and the pair the slides' branch test compares.  The
+comparisons run in the order of a check of each written cell in turn
+(left, right, row length, above, below), so the first one to fail, and
+its message, is the one that check would find.  The public functions
+copy an immutable ``Tableau``, apply the in-place operation and freeze
+the result, and every constructed ``Tableau`` re-checks all of its
 invariants.
 
 Every ``Partition`` checks its parts, except the shapes of a walk the
@@ -184,56 +189,68 @@ def _shape(rows: list[list[int]]) -> Partition:
     return Partition(tuple(len(row) for row in rows))
 
 
-def _check_cells(rows: list[list[int]], cells) -> None:
-    """Check each written cell (0-indexed) against its four neighbours.
-
-    Only a pair of neighbours with a written cell in it can have changed,
-    so on a tableau that was valid before the write, checking those pairs
-    and that the cell above each written cell exists re-establishes the
-    order and shape invariants ``Tableau`` checks, in O(len(cells)).  The
-    operations write only the positive entry they were given or entries
-    they moved, and delete only corners.
-    """
-    height = len(rows)
-    for r, c in cells:
-        row = rows[r]
-        x = row[c]
-        if (c and row[c - 1] > x) or (c + 1 < len(row) and x > row[c + 1]):
-            raise ValueError("rows must be weakly increasing")
-        if r:
-            above = rows[r - 1]
-            if c >= len(above):
-                raise ValueError("row lengths must be weakly decreasing")
-            if above[c] >= x:
-                raise ValueError("columns must be strictly increasing")
-        if r + 1 < height:
-            below = rows[r + 1]
-            if c < len(below) and below[c] <= x:
-                raise ValueError("columns must be strictly increasing")
+_ROWS = "rows must be weakly increasing"
+_COLUMNS = "columns must be strictly increasing"
+_LENGTHS = "row lengths must be weakly decreasing"
 
 
 def _insert(rows: list[list[int]], x: int) -> list[int]:
-    """Row-insert x in place; return the route's column (0-indexed) in each row."""
+    """Row-insert x in place; return the route's column (0-indexed) in each row.
+
+    A route cell's pairs are checked when they are final: its right pair,
+    the length of the row above and its above pair when it is written, its
+    below pair when the next row is.  bisect_right leaves row[c - 1] at
+    most the value written at c, so the left pair needs no check.
+    """
     if x < 1:
         raise ValueError(f"entries must be positive, got {x}")
-    cols = []
-    value = x
+    cols: list[int] = []
+    above = None
+    b = top = 0  # the route's column in the row above, and its length
     for row in rows:
-        pos = bisect_right(row, value)
-        cols.append(pos)
-        if pos == len(row):
-            row.append(value)
+        w = x
+        c = bisect_right(row, w)
+        m = len(row)
+        tail = c == m
+        if tail:
+            row.append(w)
+            m += 1
+        else:
+            x = row[c]
+            row[c] = w
+        # the below pair of the route cell above is due before this cell's pairs
+        if above is not None and b < m and row[b] <= above[b]:
+            raise ValueError(_COLUMNS)
+        if c + 1 < m and w > row[c + 1]:
+            raise ValueError(_ROWS)
+        if above is not None and c != b:
+            if c >= top:
+                raise ValueError(_LENGTHS)
+            if above[c] >= w:
+                raise ValueError(_COLUMNS)
+        cols.append(c)
+        if tail:
+            r = len(cols)
+            if r < len(rows) and c < len(rows[r]) and rows[r][c] <= w:
+                raise ValueError(_COLUMNS)
             break
-        row[pos], value = value, row[pos]
-    else:
-        rows.append([value])
+        above, b, top = row, c, m
+    else:  # x opens a new row; its above pair is its only one
+        if above is not None and above[0] >= x:
+            raise ValueError(_COLUMNS)
+        rows.append([x])
         cols.append(0)
-    _check_cells(rows, enumerate(cols))
     return cols
 
 
 def _unbump(rows: list[list[int]], b: Box) -> int:
-    """Reverse row insertion in place from the removable corner ``b``."""
+    """Reverse row insertion in place from the removable corner ``b``.
+
+    Each written cell's left pair, the length of the row above it and its
+    below pair are checked when it is written, its above pair when the row
+    above is.  bisect_left leaves row[idx + 1] >= the written value, so
+    the right pair needs no check.
+    """
     r, c = b.row - 1, b.col - 1
     if (
         not 0 <= r < len(rows)
@@ -246,52 +263,111 @@ def _unbump(rows: list[list[int]], b: Box) -> int:
     value = rows[r].pop()
     if not rows[r]:
         del rows[r]
-    cells = []
+    below = rows[r] if r < len(rows) else []
+    # the column written in the row below (-1: none yet) and that row's length
+    d, low = -1, len(below)
     for k in range(r - 1, -1, -1):
         row = rows[k]
+        w = value
         # the rightmost entry strictly smaller than the travelling value
         # is the one that bumped it; swap them back (idx is -1, the last
         # cell, only in a tableau whose columns are out of order)
-        idx = bisect_left(row, value) - 1
-        row[idx], value = value, row[idx]
-        cells.append((k, idx % len(row)))
-    _check_cells(rows, cells)
+        idx = bisect_left(row, w) - 1
+        value = row[idx]
+        row[idx] = w
+        m = len(row)
+        i = idx % m
+        # the above pair of the cell written below is due before this cell's pairs
+        if d >= 0 and row[d] >= below[d]:
+            raise ValueError(_COLUMNS)
+        if i and row[i - 1] > w:
+            raise ValueError(_ROWS)
+        if k and i >= len(rows[k - 1]):
+            raise ValueError(_LENGTHS)
+        if i != d and i < low and below[i] <= w:  # i == d: the pair just checked
+            raise ValueError(_COLUMNS)
+        below, d, low = row, i, m
     return value
 
 
 def _slide(rows: list[list[int]]) -> Box:
-    """Remove (1,1) in place and slide the hole out; return the vacated corner."""
+    """Remove (1,1) in place and slide the hole out; return the vacated corner.
+
+    Each entry that moves into the hole is checked against the one written
+    before it, the pair the hole passed through, and then against its
+    left or above neighbour; a cell's row length and above pair wait for
+    its right pair when the hole moves on to the right.  The branch test
+    settles the below pair of an entry that moves left and the right pair
+    of one that moves up.
+    """
     if not rows:
         raise ValueError("cannot delete from an empty tableau")
-    cells = []
     last = len(rows) - 1
-    r = c = 0
+    r = c = e = 0  # the hole is at (r, c); it entered row r at column e
+    x = top = 0  # the entry written before, into the cell the hole left; len(above)
+    above: list[int] = []
     row = rows[0]
     below = rows[1] if last else []
     end, reach = len(row) - 1, len(below)
     while True:
         if c < end and not (c < reach and below[c] <= row[c + 1]):
-            cells.append((r, c))
-            row[c] = row[c + 1]
-            c += 1
+            y = row[c + 1]
+            down = False
         elif c < reach:
-            cells.append((r, c))
-            row[c] = below[c]
-            r += 1
-            row = below
-            below = rows[r + 1] if r < last else []
-            end, reach = reach - 1, len(below)
+            y = below[c]
+            down = True
         else:
             break
+        row[c] = y
+        if c != e:  # the hole came from the left, where x was written
+            if x > y:
+                raise ValueError(_ROWS)
+            if r and c - 1 != e:  # x's cell came from the left too
+                if c > top:
+                    raise ValueError(_LENGTHS)
+                if above[c - 1] >= x:
+                    raise ValueError(_COLUMNS)
+        elif r:  # the hole came down; x was written above it
+            if x >= y:
+                raise ValueError(_COLUMNS)
+            if c and row[c - 1] > y:
+                raise ValueError(_ROWS)
+        x = y
+        if not down:
+            c += 1
+            continue
+        if r and c != e:  # y's right pair is settled: its length and above pair
+            if c >= top:
+                raise ValueError(_LENGTHS)
+            if above[c] >= y:
+                raise ValueError(_COLUMNS)
+        r += 1
+        e = c
+        top = end + 1
+        above, row = row, below
+        below = rows[r + 1] if r < last else []
+        end, reach = reach - 1, len(below)
+    if r and c - 1 > e:  # x came from the left and has no right pair now
+        if c > top:
+            raise ValueError(_LENGTHS)
+        if above[c - 1] >= x:
+            raise ValueError(_COLUMNS)
     row.pop()
     if not row:
         del rows[r]
-    _check_cells(rows, cells)
     return Box(r + 1, c + 1)
 
 
 def _unslide(rows: list[list[int]], corner: Box, v: int) -> None:
-    """Reverse slide in place from the addable ``corner``, then write v at (1,1)."""
+    """Reverse slide in place from the addable ``corner``, then write v at (1,1).
+
+    Each entry that moves into the hole is checked against the one written
+    before it, the pair the hole passed through, and then against its
+    right neighbour, or its below neighbour once it moves up; the below
+    pair of an entry that moves left waits for its left pair.  The branch
+    test settles the left pair of an entry that moves up and the above
+    pair of one that moves left.
+    """
     if v < 1:
         raise ValueError(f"entries must be positive, got {v}")
     if rows and rows[0][0] <= v:
@@ -305,25 +381,47 @@ def _unslide(rows: list[list[int]], corner: Box, v: int) -> None:
         raise ValueError(
             f"{tuple(corner)} is not an addable corner of shape {_shape(rows)}"
         )
-    cells = [(r, c)]
+    e = -1  # the hole came up into row r at column e; -1 in the corner's row
+    x = 0  # the entry written before, into the cell the hole left
     row = rows[r]
-    while r:
-        above = rows[r - 1]
-        x = above[c]
-        if c and row[c - 1] > x:
-            row[c] = row[c - 1]
-            c -= 1
+    below = rows[r + 1] if r + 1 < len(rows) else []
+    m, low = len(row), len(below)
+    while True:
+        if r:
+            above = rows[r - 1]
+            y = above[c]
+            up = not (c and row[c - 1] > y)
+            if not up:
+                y = row[c - 1]
+        elif c:
+            y = row[c - 1]
+            up = False
         else:
-            row[c] = x
-            r -= 1
-            row = above
-        cells.append((r, c))
-    while c:
-        row[c] = row[c - 1]
-        c -= 1
-        cells.append((0, c))
-    row[0] = v
-    _check_cells(rows, cells)
+            y = v
+            up = True
+        row[c] = y
+        if c == e:  # the hole came up; x was written below it
+            if x <= y:
+                raise ValueError(_COLUMNS)
+            if c + 1 < m and y > row[c + 1]:
+                raise ValueError(_ROWS)
+        elif c + 1 < m:  # the hole came from the right, where x was written
+            if y > x:
+                raise ValueError(_ROWS)
+            if c + 1 != e and c + 1 < low and below[c + 1] <= x:
+                raise ValueError(_COLUMNS)
+        x = y
+        if not up:
+            c -= 1
+            continue
+        if c != e and c < low and below[c] <= y:  # y's left pair is settled
+            raise ValueError(_COLUMNS)
+        if not r:
+            return
+        r -= 1
+        e = c
+        below, row = row, above
+        low, m = m, len(row)
 
 
 def row_insert(t: Tableau, x: int) -> tuple[Tableau, BumpingRoute]:

@@ -34,6 +34,7 @@ from matchstat import (
     row_insert,
     sample_uniform,
 )
+from matchstat.matchings import _partners
 
 from gf_oracle import gf_coefficient
 
@@ -228,12 +229,20 @@ def test_09_deterministic_convergence():
 
 
 def test_10_sampler_uniformity():
+    # streams 0 .. draws-1 through one range: the same streams and draws as
+    # one sample_uniform call each (pinned by the split-invariance test)
     draws = 150000
-    freq = Counter(
-        sample_uniform(3, SEED, stream=k).partner for k in range(draws)
-    )
+    freq = Counter(tuple(p.tolist()) for p in _partners(3, SEED, 0, draws))
+    first = [sample_uniform(3, SEED, stream=k).partner for k in range(200)]
+    ok = first == [
+        tuple((p + 1).tolist()) for p in _partners(3, SEED, 0, len(first))
+    ]
     expected = draws / 15
-    ok = len(freq) == 15
+    ok &= len(freq) == 15
     ok &= all(abs(c - expected) <= 0.05 * expected for c in freq.values())
     spread = max(abs(c - expected) / expected for c in freq.values())
-    report(f"sampler uniformity at n=3: max deviation {spread:.2%} (<= 5%)", ok)
+    report(
+        f"sampler uniformity at n=3: max deviation {spread:.2%} (<= 5%),"
+        " first 200 streams as sample_uniform draws them",
+        ok,
+    )

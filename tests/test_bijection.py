@@ -31,6 +31,8 @@ from matchstat import (
 )
 from matchstat.bijection import _shapes
 
+from growth_oracle import growth_corners, transpose
+
 SIGMA = from_pairs([(1, 4), (2, 3), (5, 6)])
 
 
@@ -396,6 +398,32 @@ class TestCrossingNestingOracle:
             rows, cols = walk_extent(m)
             assert nesting_number(m) == rows
             assert nesting_number(conjugate_matching(m)) == cols
+
+
+class TestGrowthDiagramOracle:
+    """Every shape of the walk, and of its conjugate, against Fomin's
+    growth diagram of the matching (tests/growth_oracle.py), which builds
+    them with local rules instead of insertions and slides."""
+
+    @staticmethod
+    def check(m):
+        osc, _ = matching_to_oscillating(m)
+        corners = growth_corners(m.partner)
+        assert [p.parts for p in osc.shapes] == [transpose(p) for p in corners]
+        assert [p.parts for p in conjugate_oscillating(osc).shapes] == corners
+
+    def test_exhaustive(self):
+        checked = 0
+        for n in range(1, 7):
+            for m in enumerate_matchings(n):
+                self.check(m)
+                checked += 1
+        assert checked == 1 + 3 + 15 + 105 + 945 + 10395
+
+    def test_seeded_draws(self):
+        for n in (20, 50, 100, 200):
+            for k in range(3):
+                self.check(sample_uniform(n, 29, stream=k))
 
 
 class TestLazyTrace:

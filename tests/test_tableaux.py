@@ -224,9 +224,10 @@ class TestReverseSlide:
 
 
 class TestLocalChecks:
-    """Each in-place operation re-checks the cells it wrote.  Handed a
-    working tableau that is out of order there, it must raise; without
-    the check each of these calls completes and returns garbage."""
+    """Each in-place operation checks the neighbour pairs of the cells it
+    writes.  Handed a working tableau that is out of order there, it must
+    raise; without the check each of these calls completes and returns
+    garbage."""
 
     def test_insert(self):
         rows = [[2], [1]]  # 1 lands at (1,1) above the 1 at (2,1)
@@ -257,6 +258,39 @@ class TestLocalChecks:
         rows = [[1], [2, 3, 4]]  # the 2 moves up to (1,1) over a longer row
         with pytest.raises(ValueError, match="row lengths must be weakly decreasing"):
             _slide(rows)
+
+    def test_insert_append_above_longer_row(self):
+        rows = [[1], [2, 3]]  # 5 is appended at (1,2) above the 3 at (2,2)
+        with pytest.raises(ValueError, match="columns must be strictly increasing"):
+            _insert(rows, 5)
+
+    def test_unbump_consecutive_rows(self):
+        rows = [[1], [10], [10]]  # the 10s move up to (1,1) and (2,1)
+        with pytest.raises(ValueError, match="columns must be strictly increasing"):
+            _unbump(rows, Box(3, 1))
+
+    def test_unbump_no_smaller_entry(self):
+        rows = [[4, 5], [3]]  # nothing in row 1 is below 3: it lands on the 5
+        with pytest.raises(ValueError, match="rows must be weakly increasing"):
+            _unbump(rows, Box(2, 1))
+
+    def test_slide_left_pair(self):
+        rows = [[1, 2, 9], [11, 7, 10]]  # the 10 moves left to (2,2), right of the 11
+        with pytest.raises(ValueError, match="rows must be weakly increasing"):
+            _slide(rows)
+
+    def test_unslide_right_pair(self):
+        rows = [[3, 1]]  # the 3 moves down; v = 2 lands at (1,1) left of the 1
+        with pytest.raises(ValueError, match="rows must be weakly increasing"):
+            _unslide(rows, Box(2, 1), 2)
+
+    def test_unslide_below_pair(self):
+        rows = [[5, 6], [7, 4]]  # the 5 moves right to (1,2) above the 4
+        with pytest.raises(ValueError, match="columns must be strictly increasing"):
+            _unslide(rows, Box(1, 3), 1)
+        rows = [[8], [1]]  # v = 2 lands at (1,1) above the 1
+        with pytest.raises(ValueError, match="columns must be strictly increasing"):
+            _unslide(rows, Box(1, 2), 2)
 
     def test_valid_tableau_passes(self):
         rows = [[1, 3], [2]]
