@@ -4,120 +4,22 @@ Exact moment formulas with a brute-force oracle, the bijection to
 oscillating tableaux with its conjugation symmetry, exact
 descent-generating polynomials, and numerical verification that the
 normalized descent count converges to N(0, 1/6).
+
+The package exports each module's ``__all__``, in module order.
 """
 
-from .matchings import (
-    DRAW_BUDGET,
-    SAMPLE_BUDGET,
-    DescentStats,
-    Matching,
-    MomentReport,
-    brute_force_moments,
-    closed_form_moments,
-    compare_reports,
-    descent_stats,
-    double_factorial,
-    enumerate_matchings,
-    from_pairs,
-    parse_matching,
-    sample_uniform,
-)
-from .tableaux import (
-    Box,
-    BumpingRoute,
-    Partition,
-    Tableau,
-    added_box,
-    conjugate_partition,
-    delete_min_and_slide,
-    parse_partition,
-    reverse_row_insert,
-    reverse_slide_and_place_min,
-    row_insert,
-)
-from .bijection import (
-    DESCENT_CASES,
-    BijectionTrace,
-    OscillatingTableau,
-    PositionCase,
-    TraceStep,
-    classify_position,
-    conjugate_matching,
-    conjugate_oscillating,
-    matching_to_oscillating,
-    oscillating_to_matching,
-    parse_oscillating,
-)
-from .distribution import (
-    COEFFICIENT_BUDGET,
-    ENUMERATION_BUDGET,
-    SERIES_BUDGET,
-    BudgetError,
-    CltReport,
-    DescentPolynomial,
-    MgfEntry,
-    clt_experiment,
-    exact_distribution,
-    exact_ks_distance,
-    mgf_convergence_report,
-    mgf_series_factor,
-    mgf_Wn,
-    polynomial_by_enumeration,
-    polynomial_by_gf,
-)
+from . import bijection, distribution, matchings, tableaux
+from .bijection import *  # noqa: F403
+from .distribution import *  # noqa: F403
+from .matchings import *  # noqa: F403
+from .tableaux import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Matching",
-    "DescentStats",
-    "MomentReport",
-    "double_factorial",
-    "from_pairs",
-    "parse_matching",
-    "descent_stats",
-    "enumerate_matchings",
-    "sample_uniform",
-    "closed_form_moments",
-    "brute_force_moments",
-    "compare_reports",
-    "Box",
-    "Partition",
-    "Tableau",
-    "BumpingRoute",
-    "conjugate_partition",
-    "added_box",
-    "row_insert",
-    "reverse_row_insert",
-    "delete_min_and_slide",
-    "reverse_slide_and_place_min",
-    "parse_partition",
-    "OscillatingTableau",
-    "BijectionTrace",
-    "TraceStep",
-    "PositionCase",
-    "DESCENT_CASES",
-    "matching_to_oscillating",
-    "oscillating_to_matching",
-    "conjugate_oscillating",
-    "conjugate_matching",
-    "classify_position",
-    "parse_oscillating",
-    "DescentPolynomial",
-    "CltReport",
-    "MgfEntry",
-    "BudgetError",
-    "polynomial_by_enumeration",
-    "polynomial_by_gf",
-    "exact_distribution",
-    "mgf_Wn",
-    "mgf_convergence_report",
-    "mgf_series_factor",
-    "clt_experiment",
-    "exact_ks_distance",
-    "ENUMERATION_BUDGET",
-    "COEFFICIENT_BUDGET",
-    "SERIES_BUDGET",
-    "SAMPLE_BUDGET",
-    "DRAW_BUDGET",
-]
+__all__ = list(
+    dict.fromkeys(
+        name
+        for module in (matchings, tableaux, bijection, distribution)
+        for name in module.__all__
+    )
+)

@@ -33,12 +33,9 @@ from .distribution import (
     polynomial_by_gf,
 )
 from .matchings import (
-    Matching,
     MomentReport,
-    _check_draw_budget,
-    _check_sample_budget,
-    _check_stream,
-    _partners,
+    _check_draws,
+    _matchings,
     brute_force_moments,
     closed_form_moments,
     compare_reports,
@@ -220,13 +217,9 @@ def cmd_tableau(args) -> Report:
             raise ValueError("--random requires --n")
         # the bijection both ways moves each letter along a route of about
         # sqrt(2n) cells, each move several times the cost of a drawn letter
-        _check_draw_budget(args.n, args.random, 16 * math.isqrt(2 * args.n))
-        _check_sample_budget(args.n)
-        _check_stream(args.seed, 0)
+        _check_draws(args.n, args.seed, 0, args.random, 16 * math.isqrt(2 * args.n))
         failures = 0
-        # draw k is the matching sample_uniform(n, seed, k) returns
-        for partner in _partners(args.n, args.seed, 0, args.random):
-            m = Matching._trusted(tuple((partner + 1).tolist()))
+        for m in _matchings(args.n, args.seed, 0, args.random):
             osc, _ = matching_to_oscillating(m)
             failures += oscillating_to_matching(osc) != m
         payload = {

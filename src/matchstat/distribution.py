@@ -32,15 +32,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from itertools import accumulate
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from .matchings import (
     BudgetError,
-    _check_draw_budget,
-    _check_sample_budget,
-    _check_stream,
+    _check_draws,
     _partners,
     closed_form_moments,
     descent_stats,
@@ -335,24 +334,35 @@ def _normal_cdf(x: float, sigma: float) -> float:
     return 0.5 * (1.0 + math.erf(x / (sigma * math.sqrt(2.0))))
 
 
+def _lattice_ks(n: int, cdf: Iterable[tuple[int, float]]) -> float:
+    """KS distance between a law of D and N(0, 1/6), on the scale of W.
+
+    ``cdf`` yields (m, P(D <= m)) for each atom m of the law in increasing
+    order.  Both one-sided gaps are measured at every atom, so this is the
+    true supremum distance of the lattice law of W = (D - n)/sqrt(n).
+    """
+    sigma = math.sqrt(_TARGET_VAR)
+    sqrt_n = math.sqrt(n)
+    below = 0.0
+    dist = 0.0
+    for m, cum in cdf:
+        target = _normal_cdf((m - n) / sqrt_n, sigma)
+        dist = max(dist, target - below, cum - target)
+        below = cum
+    return dist
+
+
 def exact_ks_distance(n: int) -> float:
     """KS distance between the exact lattice law of W and N(0, 1/6).
 
-    Both one-sided gaps are measured at every atom, so this is the true
-    supremum distance; there is no sampling noise.
+    The CDF is the running sum of the correctly rounded floats of the
+    exact law, and both one-sided gaps are measured at every atom, so
+    this is the true supremum distance; there is no sampling noise.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    sigma = math.sqrt(_TARGET_VAR)
-    sqrt_n = math.sqrt(n)
-    cum = 0.0
-    dist = 0.0
-    for m, p in _exact_floats(n):
-        target = _normal_cdf((m - n) / sqrt_n, sigma)
-        dist = max(dist, target - cum)
-        cum += p
-        dist = max(dist, cum - target)
-    return dist
+    atoms, masses = zip(*_exact_floats(n))
+    return _lattice_ks(n, zip(atoms, accumulate(masses)))
 
 
 @dataclass(frozen=True)
@@ -412,18 +422,17 @@ def clt_experiment(
     count, which is further capped at the number of cores.  Reports the
     sample mean and variance of W and the KS distance, with both
     one-sided gaps measured at every sample lattice point.  The sample
-    variance needs ``num_samples >= 2``.  Before any draw or worker pool,
-    n > SAMPLE_BUDGET or a draw cost num_samples * max(2n, 1024) above
-    DRAW_BUDGET raises BudgetError and a seed outside [0, 2^64) raises
-    ValueError.
+    variance needs ``num_samples >= 2``.  Then, before any draw or worker
+    pool, the request is checked in the order of matchings._check_draws:
+    BudgetError for n > SAMPLE_BUDGET, then for a draw cost
+    num_samples * max(2n, 1024) above DRAW_BUDGET, then ValueError for a
+    seed outside [0, 2^64).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if num_samples < 2:
         raise ValueError("num_samples must be >= 2")
-    _check_sample_budget(n)
-    _check_draw_budget(n, num_samples)
-    _check_stream(seed, 0)
+    _check_draws(n, seed, 0, num_samples)
     workers = _resolve_workers(threads)
     if workers == 1 or num_samples < 4 * workers:
         counts = _descent_counts_range(n, seed, 0, num_samples)
@@ -440,13 +449,8 @@ def clt_experiment(
     mean = float(w.mean())
     var = float(w.var(ddof=1))
 
-    sigma = math.sqrt(_TARGET_VAR)
     freq = np.bincount(counts)
-    cum = 0
-    dist = 0.0
-    for m in np.nonzero(freq)[0].tolist():
-        target = _normal_cdf((m - n) / sqrt_n, sigma)
-        dist = max(dist, target - cum / num_samples)
-        cum += int(freq[m])
-        dist = max(dist, cum / num_samples - target)
-    return CltReport(n, num_samples, seed, mean, var, dist)
+    atoms = np.flatnonzero(freq)
+    cdf = np.cumsum(freq)[atoms] / num_samples
+    ks = _lattice_ks(n, zip(atoms.tolist(), cdf.tolist()))
+    return CltReport(n, num_samples, seed, mean, var, ks)

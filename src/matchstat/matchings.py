@@ -6,6 +6,8 @@ enumeration, uniform sampling with reproducible (seed, stream)
 addressing, and the descent/major-index moments both in closed form and
 by exhaustive brute force.  All moments are exact `fractions.Fraction`
 values; the brute-force report is the oracle for the closed forms.
+Every request for draws, here or in the modules built on this one,
+passes one check (_check_draws) before its first draw.
 """
 
 from __future__ import annotations
@@ -215,26 +217,25 @@ def enumerate_matchings(n: int) -> Iterator[Matching]:
     return fill(tuple(range(1, 2 * n + 1)))
 
 
-def _check_sample_budget(n: int) -> None:
-    # Called once per request, before any draw or worker pool.
+def _check_draws(n: int, seed: int, start: int, stop: int, per_letter: int = 1) -> None:
+    """Refuse a request for the draws at n on streams start .. stop-1.
+
+    Every entry point that draws calls this once, after its own argument
+    checks and before any draw or worker pool.  The refusals come in one
+    order: BudgetError for n > SAMPLE_BUDGET, then BudgetError for a draw
+    cost (stop - start) * max(2n, 1024) * per_letter above DRAW_BUDGET (a
+    caller that does more than draw charges ``per_letter`` for each
+    letter), then ValueError unless 0 <= seed < 2^64 and start >= 0.
+    The draws themselves trust seed and every stream of the range.
+    """
     if n > SAMPLE_BUDGET:
         raise BudgetError("n", n, SAMPLE_BUDGET)
-
-
-def _check_draw_budget(n: int, draws: int, per_letter: int = 1) -> None:
-    # Called once per request, next to _check_sample_budget; a caller
-    # that does more than draw charges ``per_letter`` for each letter.
-    cost = draws * max(2 * n, _DRAW_FLOOR) * per_letter
+    cost = (stop - start) * max(2 * n, _DRAW_FLOOR) * per_letter
     if cost > DRAW_BUDGET:
         raise BudgetError("draw cost", cost, DRAW_BUDGET)
-
-
-def _check_stream(seed: int, stream: int) -> None:
-    # Called once per request, next to _check_sample_budget: the draws
-    # themselves trust seed and every stream from this one on.
     if not 0 <= seed <= _UINT64_MAX:
         raise ValueError("seed must be an unsigned 64-bit integer")
-    if stream < 0:
+    if start < 0:
         raise ValueError("stream must be non-negative")
 
 
@@ -359,6 +360,13 @@ def _partners(n: int, seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
         yield partner
 
 
+def _matchings(n: int, seed: int, start: int, stop: int) -> Iterator[Matching]:
+    # Draw k - start is the matching sample_uniform(n, seed, k) returns;
+    # the caller has passed the request through _check_draws.
+    for partner in _partners(n, seed, start, stop):
+        yield Matching._trusted(tuple((partner + 1).tolist()))
+
+
 def sample_uniform(n: int, seed: int, stream: int = 0) -> Matching:
     """A uniformly random matching of S_{2n}.
 
@@ -370,31 +378,17 @@ def sample_uniform(n: int, seed: int, stream: int = 0) -> Matching:
     constructors and computed per block of streams where a whole range
     is drawn, with the same states.  The result is deterministic for
     fixed (seed, stream) and distinct streams are independent: callers
-    may parallelize by assigning one stream per draw.  Raises ValueError
-    unless 0 <= seed < 2^64 and stream >= 0, and BudgetError for
-    n > SAMPLE_BUDGET.
+    may parallelize by assigning one stream per draw.  Raises
+    BudgetError for n > SAMPLE_BUDGET, then ValueError unless
+    0 <= seed < 2^64 and stream >= 0 (see _check_draws).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_sample_budget(n)
-    _check_stream(seed, stream)
-    # unpacking runs both generators to their end: closing them while
+    _check_draws(n, seed, stream, stream + 1)
+    # unpacking runs the generators to their end: closing them while
     # suspended, as next() would leave them, costs about 1 us per draw
-    (partner,) = _partners(n, seed, stream, stream + 1)
-    return Matching._trusted(tuple((partner + 1).tolist()))
-
-
-_STAT_FIELDS = (
-    "mean_d",
-    "var_d",
-    "second_moment_d",
-    "mean_maj",
-    "var_maj",
-    "second_moment_maj",
-    "p_descent",
-    "p_joint_adjacent",
-    "p_joint_nonadjacent",
-)
+    (m,) = _matchings(n, seed, stream, stream + 1)
+    return m
 
 
 @dataclass(frozen=True)
@@ -420,10 +414,20 @@ class MomentReport:
     p_joint_nonadjacent: Fraction | None
     invalid_fields: frozenset[str] = frozenset()
 
-    FIELD_NAMES: ClassVar[tuple[str, ...]] = _STAT_FIELDS
+    FIELD_NAMES: ClassVar[tuple[str, ...]] = (
+        "mean_d",
+        "var_d",
+        "second_moment_d",
+        "mean_maj",
+        "var_maj",
+        "second_moment_maj",
+        "p_descent",
+        "p_joint_adjacent",
+        "p_joint_nonadjacent",
+    )
 
     def value(self, name: str) -> Fraction | None:
-        if name not in _STAT_FIELDS:
+        if name not in self.FIELD_NAMES:
             raise ValueError(f"unknown field {name!r}")
         return getattr(self, name)
 
@@ -539,7 +543,7 @@ def brute_force_moments(n: int) -> MomentReport:
 def compare_reports(a: MomentReport, b: MomentReport) -> dict[str, bool | None]:
     """Field-by-field exact equality; None where either side is not valid."""
     out: dict[str, bool | None] = {}
-    for name in _STAT_FIELDS:
+    for name in MomentReport.FIELD_NAMES:
         if a.is_valid(name) and b.is_valid(name):
             out[name] = a.value(name) == b.value(name)
         else:

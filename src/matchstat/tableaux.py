@@ -185,10 +185,6 @@ def _thaw(t: Tableau) -> list[list[int]]:
     return [list(row) for row in t.rows]
 
 
-def _shape(rows: list[list[int]]) -> Partition:
-    return Partition(tuple(len(row) for row in rows))
-
-
 _ROWS = "rows must be weakly increasing"
 _COLUMNS = "columns must be strictly increasing"
 _LENGTHS = "row lengths must be weakly decreasing"
@@ -257,9 +253,8 @@ def _unbump(rows: list[list[int]], b: Box) -> int:
         or c != len(rows[r]) - 1
         or (r + 1 < len(rows) and len(rows[r + 1]) > c)
     ):
-        raise ValueError(
-            f"{tuple(b)} is not a removable corner of shape {_shape(rows)}"
-        )
+        lengths = ",".join(str(len(row)) for row in rows)
+        raise ValueError(f"{tuple(b)} is not a removable corner of shape ({lengths})")
     value = rows[r].pop()
     if not rows[r]:
         del rows[r]
@@ -378,8 +373,9 @@ def _unslide(rows: list[list[int]], corner: Box, v: int) -> None:
     elif 0 <= r < len(rows) and c == len(rows[r]) and (r == 0 or len(rows[r - 1]) > c):
         rows[r].append(0)
     else:
+        lengths = ",".join(str(len(row)) for row in rows)
         raise ValueError(
-            f"{tuple(corner)} is not an addable corner of shape {_shape(rows)}"
+            f"{tuple(corner)} is not an addable corner of shape ({lengths})"
         )
     e = -1  # the hole came up into row r at column e; -1 in the corner's row
     x = 0  # the entry written before, into the cell the hole left

@@ -143,7 +143,7 @@ class TestTableau:
         def no_draw(*args, **kwargs):
             raise AssertionError("a matching was drawn")
 
-        monkeypatch.setattr("matchstat.cli._partners", no_draw)
+        monkeypatch.setattr("matchstat.cli._matchings", no_draw)
         code, out, err = run(capsys, "tableau", "--random", "2000", "--n", "50")
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "draw cost=327680000 exceeds" in err

@@ -375,6 +375,19 @@ class TestCltExperiment:
     def test_deterministic(self):
         assert clt_experiment(20, 300, 9) == clt_experiment(20, 300, 9)
 
+    @pytest.mark.parametrize("n,draws,seed", [(20, 300, 9), (3, 5000, 1), (57, 999, 123)])
+    def test_ks_equals_scan_over_sample_counts(self, n, draws, seed):
+        sigma, sqrt_n = math.sqrt(1 / 6), math.sqrt(n)
+        freq = np.bincount(_descent_counts_range(n, seed, 0, draws)).tolist()
+        cum, dist = 0, 0.0
+        for m, f in enumerate(freq):
+            if f:
+                target = _normal_cdf((m - n) / sqrt_n, sigma)
+                dist = max(dist, target - cum / draws)
+                cum += f
+                dist = max(dist, cum / draws - target)
+        assert clt_experiment(n, draws, seed).ks_distance == dist
+
     def test_sample_budget_checked_before_any_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool started")

@@ -11,6 +11,7 @@ from matchstat import (
     BudgetError,
     Matching,
     brute_force_moments,
+    clt_experiment,
     closed_form_moments,
     compare_reports,
     descent_stats,
@@ -20,6 +21,7 @@ from matchstat import (
     parse_matching,
     sample_uniform,
 )
+from matchstat.cli import build_parser
 from matchstat.matchings import _partners, _stream_states
 
 
@@ -269,6 +271,39 @@ class TestSampling:
         assert sample_uniform(5, 1).n == 5
         with pytest.raises(BudgetError, match="n=6 exceeds the budget n <= 5"):
             sample_uniform(6, 1)
+
+
+def _tableau_random(n):
+    args = build_parser().parse_args(["tableau", "--random", "2", "--n", str(n)])
+    return args.func(args)
+
+
+class TestDrawRequest:
+    """Every entry point that draws refuses a request in one order, before
+    any draw or worker pool: sample budget, draw cost, seed, stream."""
+
+    ENTRY_POINTS = {
+        "sample_uniform": lambda n: sample_uniform(n, 1),
+        "clt_experiment": lambda n: clt_experiment(n, 2, 1, threads=2),
+        "tableau --random": _tableau_random,
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_sample_budget_refused_first(self, monkeypatch, entry):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw or a worker pool started")
+
+        monkeypatch.setattr("matchstat.matchings.SAMPLE_BUDGET", 10)
+        monkeypatch.setattr("matchstat.matchings.DRAW_BUDGET", 1000)
+        monkeypatch.setattr("matchstat.matchings._stream_generators", no_draw)
+        monkeypatch.setattr("matchstat.distribution.ProcessPoolExecutor", no_draw)
+        draw = self.ENTRY_POINTS[entry]
+        # every draw costs at least 1024 letters: n = 10 breaks only the
+        # draw budget, n = 11 both budgets
+        with pytest.raises(BudgetError, match="^draw cost=.* exceeds"):
+            draw(10)
+        with pytest.raises(BudgetError, match="^n=11 exceeds the budget n <= 10$"):
+            draw(11)
 
 
 class TestStreamStates:

@@ -292,6 +292,18 @@ class TestLocalChecks:
         with pytest.raises(ValueError, match="columns must be strictly increasing"):
             _unslide(rows, Box(1, 2), 2)
 
+    def test_unbump_corner_of_non_partition_rows(self):
+        rows = [[2], [3, 4]]  # row lengths (1,2) are not a partition
+        with pytest.raises(ValueError) as exc:
+            _unbump(rows, Box(5, 1))
+        assert str(exc.value) == "(5, 1) is not a removable corner of shape (1,2)"
+
+    def test_unslide_corner_of_non_partition_rows(self):
+        rows = [[2], [3, 4]]  # row lengths (1,2) are not a partition
+        with pytest.raises(ValueError) as exc:
+            _unslide(rows, Box(5, 1), 1)
+        assert str(exc.value) == "(5, 1) is not an addable corner of shape (1,2)"
+
     def test_valid_tableau_passes(self):
         rows = [[1, 3], [2]]
         assert _insert(rows, 4) == [2]
