@@ -2,11 +2,12 @@
 
 Each command returns a Report and writes nothing; main renders it as
 text, json or csv and is the one place that writes output and picks the
-exit code: 0 when every check passes, 1 on a verification failure, 2 on
-a usage or input error (an unwritable --out included), 3 when a
-computational budget is exceeded.  All randomness is surfaced as an
-explicit --seed; given identical flags every subcommand produces
-identical output.
+exit code: 0 when every check passes, 1 on a verification failure (a
+failed report check, or a library self-check that raised ArithmeticError
+or RuntimeError), 2 on a usage or input error (an unwritable --out
+included), 3 when a computational budget is exceeded.  All randomness
+is surfaced as an explicit --seed; given identical flags every
+subcommand produces identical output.
 """
 
 from __future__ import annotations
@@ -403,6 +404,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, RuntimeError) as exc:
+        # a library self-check failed: wrong exact moments, a walk defect
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     return 0 if all(report.checks.values()) else 1
 
 

@@ -5,15 +5,20 @@ coefficient of t^m in a generating-function identity,
 
     sum_m c_m t^m = (1 - t)^(2n+1) * sum_k C(k(k+1)/2 + n - 1, n) t^k,
 
-evaluated in exact integer arithmetic by taking first differences of
-the series 2n+1 times (subtraction only) up to degree n; the palindrome
-c_m = c_{2n-m} gives the rest.  Every computation checks the result
-against the count (2n-1)!!, the mean n and the variance of the descent
-count, all known in closed form.  On top of the exact distribution sit
-the diagnostics for convergence of the normalized descent count
-W = (D - n)/sqrt(n) to N(0, 1/6): pointwise MGF values against
-exp(s^2/12), a deterministic Kolmogorov-Smirnov distance, a Monte Carlo
-experiment, and the series factor of the MGF whose limit is 1.
+evaluated exactly by taking first differences of the series 2n+1 times
+(subtraction only) up to degree n; the palindrome c_m = c_{2n-m} gives
+the rest.  The differencing runs in numpy, modulo 2^(32L) with L =
+bitlen((2n-1)!!) // 32 + 1, on int64 arrays of 32-bit limbs whose carries
+are moved up every 29 passes, before a limb can overflow.  That is exact:
+differencing commutes with reduction modulo any integer, and every c_m
+lies in [0, (2n-1)!!], below 2^(32L), so each residue is c_m itself.
+Every computation checks the result against the count (2n-1)!!, the
+mean n and the variance of the descent count, all known in closed form.
+On top of the exact distribution sit the diagnostics for convergence of
+the normalized descent count W = (D - n)/sqrt(n) to N(0, 1/6):
+pointwise MGF values against exp(s^2/12), a deterministic
+Kolmogorov-Smirnov distance, a Monte Carlo experiment, and the series
+factor of the MGF whose limit is 1.
 
 Numerical care: the float probabilities behind the MGF and the KS
 distance are c_m / (2n-1)!! by correctly rounded integer division
@@ -106,31 +111,81 @@ def polynomial_by_enumeration(n: int) -> DescentPolynomial:
     return DescentPolynomial(n, tuple(coeffs))
 
 
+#: A carry pass runs at least this often: it leaves every limb below 2^33
+#: in magnitude, and each difference pass at most doubles that, so limbs
+#: stay below 2^62 and int64 never overflows.
+_PASSES_PER_CARRY = 29
+
+
+def _carry(a: np.ndarray, carry: np.ndarray) -> bool:
+    """Move each limb's bits above 32 into the next limb; False if none were.
+
+    The carry out of the top limb is dropped, which is the reduction
+    modulo 2^(32L).  Afterwards the low limb lies in [0, 2^32) and every
+    other limb in [-2^31, 2^32 + 2^31).
+    """
+    np.right_shift(a, 32, out=carry)
+    if not carry.any():
+        return False
+    a &= 0xFFFFFFFF
+    a[:, 1:] += carry[:, :-1]
+    return True
+
+
+def _difference(g: Sequence[int], passes: int, bits: int) -> list[int]:
+    """Apply c[k] -= c[k-1] (k >= 1, old values) ``passes`` times to g.
+
+    Works modulo 2^(32L), L = bits // 32 + 1, in an int64 array of 32-bit
+    limbs, one row per term.  Differencing is a ring map, so the results
+    are exact whenever each of them lies in [0, 2^bits).
+    """
+    limbs = bits // 32 + 1
+    width = 4 * limbs
+    mask = (1 << 32 * limbs) - 1
+    packed = b"".join((x & mask).to_bytes(width, "little") for x in g)
+    a = np.frombuffer(packed, dtype="<u4").reshape(len(g), limbs).astype(np.int64)
+    b = a.copy()  # row 0 never changes, so both buffers keep it
+    carry = np.empty_like(a)
+    for done in range(1, passes + 1):
+        np.subtract(a[1:], a[:-1], out=b[1:])
+        a, b = b, a
+        if done % _PASSES_PER_CARRY == 0:
+            _carry(a, carry)
+    while _carry(a, carry):
+        pass
+    packed = a.astype("<u4").tobytes()
+    return [
+        int.from_bytes(packed[i : i + width], "little")
+        for i in range(0, len(packed), width)
+    ]
+
+
 @lru_cache(maxsize=16)
 def _gf_coeffs(n: int) -> tuple[int, ...]:
     # Every exact-coefficient entry point comes through here, so the
-    # budget is enforced once, where the O(n^2) big-int work is done.
+    # budget is enforced once, where the O(n^2) limb work is done.
     if n > COEFFICIENT_BUDGET:
         raise BudgetError("n", n, COEFFICIENT_BUDGET)
-    # Multiply sum_k g_k t^k by (1 - t) 2n+1 times, truncated at degree n;
-    # the slice assignment consumes the whole map (old values only) before
-    # it writes.  The palindrome c_{n+j} = c_{n-j} gives degrees n+1 .. 2n-1.
-    c = [math.comb(k * (k + 1) // 2 + n - 1, n) for k in range(n + 1)]
-    for _ in range(2 * n + 1):
-        c[1:] = map(operator.sub, c[1:], c)
+    # Multiply sum_k g_k t^k by (1 - t) 2n+1 times, truncated at degree n.
+    # Every c_m lies in [0, (2n-1)!!], so differencing modulo a power of
+    # two above (2n-1)!! is exact.  The palindrome c_{n+j} = c_{n-j} gives
+    # degrees n+1 .. 2n-1.
+    total = double_factorial(2 * n - 1)
+    g = [math.comb(k * (k + 1) // 2 + n - 1, n) for k in range(n + 1)]
+    c = _difference(g, 2 * n + 1, total.bit_length())
     coeffs = tuple(c + c[n - 1 : 0 : -1])
-    _check_moments(n, coeffs)
+    _check_moments(n, coeffs, total)
     return coeffs
 
 
-def _check_moments(n: int, coeffs: Sequence[int]) -> None:
+def _check_moments(n: int, coeffs: Sequence[int], total: int) -> None:
     """Raise ArithmeticError unless coeffs has the known law's first moments.
 
-    The count (2n-1)!!, the mean n and the variance var_d of the descent
-    count are established independently of the generating function, so
-    they test the differencing and the mirroring from outside.
+    ``total`` is (2n-1)!!.  The count (2n-1)!!, the mean n and the
+    variance var_d of the descent count are established independently of
+    the generating function, so they test the differencing and the
+    mirroring from outside.
     """
-    total = double_factorial(2 * n - 1)
     if sum(coeffs) != total:
         raise ArithmeticError(f"coefficients at n={n} do not sum to (2n-1)!!")
     if sum(m * c for m, c in enumerate(coeffs)) != n * total:
@@ -147,6 +202,9 @@ def polynomial_by_gf(n: int) -> DescentPolynomial:
     g_k = C(k(k+1)/2 + n - 1, n); only k <= m contributes to it, so the
     series is cut at degree n and differenced 2n+1 times, and degrees
     n+1 .. 2n-1 are mirrored from the palindrome c_m = c_{2n-m}.  The
+    differencing works on g_k modulo 2^(32L), a power of 2^32 above
+    (2n-1)!!, in numpy arrays of 32-bit limbs; since every c_m lies in
+    [0, (2n-1)!!], the residues it returns are the integers.  The
     result is checked against the count (2n-1)!!, the mean n and the
     variance of closed_form_moments(n), raising ArithmeticError otherwise.
     Raises BudgetError for n > COEFFICIENT_BUDGET, as does every function

@@ -6,6 +6,8 @@ import re
 import pytest
 
 from matchstat.cli import main
+from matchstat.distribution import _gf_coeffs
+from matchstat.matchings import double_factorial
 
 
 def run(capsys, *argv):
@@ -76,6 +78,18 @@ class TestPoly:
         code, _, _ = run(capsys, "poly", "--n", "2", "--frobnicate")
         assert code == 2
 
+    def test_failed_moment_check_exits_1(self, capsys, monkeypatch):
+        # a wrong (2n-1)!! makes the library's moment check raise
+        # ArithmeticError inside the command
+        monkeypatch.setattr(
+            "matchstat.distribution.double_factorial",
+            lambda m: double_factorial(m) + 2,
+        )
+        _gf_coeffs.cache_clear()
+        code, out, err = run(capsys, "poly", "--n", "7")
+        assert code == 1 and out == ""
+        assert err.startswith("verification failed: ") and "Traceback" not in err
+
 
 class TestConjugate:
     def test_worked_example(self, capsys):
@@ -96,6 +110,15 @@ class TestConjugate:
         code, _, err = run(capsys, "conjugate", "--matching", "1-1")
         assert code == 2
         assert "1" in err
+
+    def test_walk_defect_exits_1(self, capsys, monkeypatch):
+        def defect(m):
+            raise RuntimeError("defect: walk inversion left a nonempty tableau")
+
+        monkeypatch.setattr("matchstat.cli.conjugate_matching", defect)
+        code, out, err = run(capsys, "conjugate", "--matching", "1-4,2-3,5-6")
+        assert code == 1 and out == ""
+        assert err == "verification failed: defect: walk inversion left a nonempty tableau\n"
 
     def test_json(self, capsys):
         code, out, _ = run(
