@@ -11,6 +11,12 @@ forward map and the inverse run them on one working tableau, changed in
 place.  Conjugating a shape transposes its diagram, so the conjugate
 walk swaps row and column in every step.
 
+The walks the bijection builds for itself are lists of plain moves,
+((row, col), insertion) tuples, and ``conjugate_matching`` never leaves
+that form.  ``TraceStep`` and ``Box`` objects are built only for the
+walks a caller receives, ``OscillatingTableau.steps`` and
+``BijectionTrace.steps``, once per walk.
+
 A walk built from its steps (the forward map and conjugation) is checked
 per step, in O(1) at the step's corner: each box must be an addable or
 removable corner of the shape before it, and the walk must end empty.
@@ -64,6 +70,10 @@ class TraceStep(NamedTuple):
 
     box: Box
     insertion: bool
+
+
+#: A step as the bijection carries it internally: ((row, col), insertion).
+Move = tuple[tuple[int, int], bool]
 
 
 @dataclass(frozen=True)
@@ -159,25 +169,25 @@ class BijectionTrace:
         return self._tableaux
 
 
-def _walk(m: Matching) -> list[TraceStep]:
-    """The forward map's 2n steps, taken on one working tableau."""
+def _walk(m: Matching) -> list[Move]:
+    """The forward map's 2n moves, taken on one working tableau."""
     rows: list[list[int]] = []
-    steps = []
+    moves = []
     for i, j in enumerate(m.partner, start=1):
         if i < j:
             cols = _insert(rows, j)
-            steps.append(TraceStep(Box(len(cols), cols[-1] + 1), True))
+            moves.append(((len(cols), cols[-1] + 1), True))
         else:
             if not rows or rows[0][0] != i:
                 raise RuntimeError(
                     f"defect: {i} is not the minimum of the working tableau"
                 )
-            steps.append(TraceStep(_slide(rows), False))
-    return steps
+            moves.append((_slide(rows), False))
+    return moves
 
 
 def _unwalk(steps) -> Matching:
-    """Invert a walk given by its steps back to its matching.
+    """Invert a walk given by its steps or moves back to its matching.
 
     Steps are processed from 2n down to 1: an added box is undone by a
     reverse insertion (the ejected value is the partner of the step
@@ -198,9 +208,14 @@ def _unwalk(steps) -> Matching:
     return from_pairs(pairs)
 
 
-def _transpose(steps) -> list[TraceStep]:
-    """The steps of the conjugate walk: each box reflected across the diagonal."""
-    return [TraceStep(Box(box.col, box.row), insertion) for box, insertion in steps]
+def _transpose(steps) -> list[Move]:
+    """The moves of the conjugate walk: each box reflected across the diagonal."""
+    return [((col, row), insertion) for (row, col), insertion in steps]
+
+
+def _trace_steps(moves) -> tuple[TraceStep, ...]:
+    """The public form of a walk's moves."""
+    return tuple([TraceStep(Box(r, c), insertion) for (r, c), insertion in moves])
 
 
 def _shapes(steps) -> tuple[Partition, ...]:
@@ -247,8 +262,9 @@ def _shapes(steps) -> tuple[Partition, ...]:
 
 def matching_to_oscillating(m: Matching) -> tuple[OscillatingTableau, BijectionTrace]:
     """Map a matching to its shape walk, keeping the full trace."""
-    steps = tuple(_walk(m))
-    return OscillatingTableau._trusted(_shapes(steps), steps), BijectionTrace(m, steps)
+    moves = _walk(m)
+    steps = _trace_steps(moves)
+    return OscillatingTableau._trusted(_shapes(moves), steps), BijectionTrace(m, steps)
 
 
 def oscillating_to_matching(t: OscillatingTableau) -> Matching:
@@ -258,8 +274,8 @@ def oscillating_to_matching(t: OscillatingTableau) -> Matching:
 
 def conjugate_oscillating(t: OscillatingTableau) -> OscillatingTableau:
     """Conjugate every shape of the walk; involutive."""
-    steps = tuple(_transpose(t.steps))
-    return OscillatingTableau._trusted(_shapes(steps), steps)
+    moves = _transpose(t.steps)
+    return OscillatingTableau._trusted(_shapes(moves), _trace_steps(moves))
 
 
 def conjugate_matching(m: Matching) -> Matching:

@@ -9,7 +9,8 @@ evaluated exactly by taking first differences of the series 2n+1 times
 (subtraction only) up to degree n; the palindrome c_m = c_{2n-m} gives
 the rest.  The differencing runs in numpy, modulo 2^(32L) with L =
 bitlen((2n-1)!!) // 32 + 1, on int64 arrays of 32-bit limbs whose carries
-are moved up every 29 passes, before a limb can overflow.  That is exact:
+are moved up every 29 passes, before a limb can overflow; the last
+carries are folded in as the rows are read back as integers.  That is exact:
 differencing commutes with reduction modulo any integer, and every c_m
 lies in [0, (2n-1)!!], below 2^(32L), so each residue is c_m itself.
 Every computation checks the result against the count (2n-1)!!, the
@@ -117,19 +118,16 @@ def polynomial_by_enumeration(n: int) -> DescentPolynomial:
 _PASSES_PER_CARRY = 29
 
 
-def _carry(a: np.ndarray, carry: np.ndarray) -> bool:
-    """Move each limb's bits above 32 into the next limb; False if none were.
+def _carry(a: np.ndarray, carry: np.ndarray) -> None:
+    """Move each limb's bits above 32 into the next limb.
 
     The carry out of the top limb is dropped, which is the reduction
     modulo 2^(32L).  Afterwards the low limb lies in [0, 2^32) and every
     other limb in [-2^31, 2^32 + 2^31).
     """
     np.right_shift(a, 32, out=carry)
-    if not carry.any():
-        return False
     a &= 0xFFFFFFFF
     a[:, 1:] += carry[:, :-1]
-    return True
 
 
 def _difference(g: Sequence[int], passes: int, bits: int) -> list[int]:
@@ -138,6 +136,12 @@ def _difference(g: Sequence[int], passes: int, bits: int) -> list[int]:
     Works modulo 2^(32L), L = bits // 32 + 1, in an int64 array of 32-bit
     limbs, one row per term.  Differencing is a ring map, so the results
     are exact whenever each of them lies in [0, 2^bits).
+
+    The rows are read back without carrying them out: at most 28 passes
+    follow the last carry, so every limb is below 2^61 in magnitude and
+    is lo + 2^32 hi with lo its low 32 bits and hi + 2^31 in [0, 2^32).  A row is then LO + 2^32 HI - B modulo
+    2^(32L), where LO and HI read the lo and the hi + 2^31 limbs as
+    unsigned integers and B = 2^63 (1 + 2^32 + ... + 2^(32(L-1))).
     """
     limbs = bits // 32 + 1
     width = 4 * limbs
@@ -151,12 +155,17 @@ def _difference(g: Sequence[int], passes: int, bits: int) -> list[int]:
         a, b = b, a
         if done % _PASSES_PER_CARRY == 0:
             _carry(a, carry)
-    while _carry(a, carry):
-        pass
-    packed = a.astype("<u4").tobytes()
+    low = a.astype("<u4").tobytes()  # the cast keeps the low 32 bits
+    high = ((a >> 32) + 2**31).astype("<u4").tobytes()
+    bias = (mask // 0xFFFFFFFF) << 63
     return [
-        int.from_bytes(packed[i : i + width], "little")
-        for i in range(0, len(packed), width)
+        (
+            int.from_bytes(low[i : i + width], "little")
+            + (int.from_bytes(high[i : i + width], "little") << 32)
+            - bias
+        )
+        & mask
+        for i in range(0, len(low), width)
     ]
 
 

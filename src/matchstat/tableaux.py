@@ -11,19 +11,22 @@ round-trip tests, which are the binding contract.
 
 Each operation is implemented once, in place on a working tableau held
 as a list of row lists (``_insert``, ``_unbump``, ``_slide``,
-``_unslide``), so the bijection can run 2n steps on one tableau.  Each
-operation compares every value it writes with its neighbours while it
-holds them in local variables, at the point where the pair becomes
-final, and checks the length of the row above each written cell: O(route)
-work that, applied to a valid tableau, keeps it valid.  It skips only
-what its own choice has just settled: the bounds ``bisect`` gives the
-insertions, and the pair the slides' branch test compares.  The
-comparisons run in the order of a check of each written cell in turn
-(left, right, row length, above, below), so the first one to fail, and
-its message, is the one that check would find.  The public functions
-copy an immutable ``Tableau``, apply the in-place operation and freeze
-the result, and every constructed ``Tableau`` re-checks all of its
-invariants.
+``_unslide``), so the bijection can run 2n steps on one tableau.  Their
+corners are plain 1-indexed (row, col) pairs: ``_slide`` returns one,
+and ``_unbump`` and ``_unslide`` take a pair or a ``Box`` alike.  A
+``Box`` is built only for a public result, such as the corner that
+``delete_min_and_slide`` returns.  Each operation compares every value
+it writes with its neighbours while it holds them in local variables,
+at the point where the pair becomes final, and checks the length of the
+row above each written cell: O(route) work that, applied to a valid
+tableau, keeps it valid.  It skips only what its own choice has just
+settled: the bounds ``bisect`` gives the insertions, and the pair the
+slides' branch test compares.  The comparisons run in the order of a
+check of each written cell in turn (left, right, row length, above,
+below), so the first one to fail, and its message, is the one that
+check would find.  The public functions copy an immutable ``Tableau``,
+apply the in-place operation and freeze the result, and every
+constructed ``Tableau`` re-checks all of its invariants.
 
 Every ``Partition`` checks its parts, except the shapes of a walk the
 bijection builds from its steps: it checks each step at its corner and
@@ -239,22 +242,24 @@ def _insert(rows: list[list[int]], x: int) -> list[int]:
     return cols
 
 
-def _unbump(rows: list[list[int]], b: Box) -> int:
+def _unbump(rows: list[list[int]], b: tuple[int, int]) -> int:
     """Reverse row insertion in place from the removable corner ``b``.
 
+    ``b`` is a 1-indexed (row, col) pair, a ``Box`` or a plain tuple.
     Each written cell's left pair, the length of the row above it and its
     below pair are checked when it is written, its above pair when the row
     above is.  bisect_left leaves row[idx + 1] >= the written value, so
     the right pair needs no check.
     """
-    r, c = b.row - 1, b.col - 1
+    row, col = b
+    r, c = row - 1, col - 1
     if (
         not 0 <= r < len(rows)
         or c != len(rows[r]) - 1
         or (r + 1 < len(rows) and len(rows[r + 1]) > c)
     ):
         lengths = ",".join(str(len(row)) for row in rows)
-        raise ValueError(f"{tuple(b)} is not a removable corner of shape ({lengths})")
+        raise ValueError(f"{(row, col)} is not a removable corner of shape ({lengths})")
     value = rows[r].pop()
     if not rows[r]:
         del rows[r]
@@ -285,8 +290,10 @@ def _unbump(rows: list[list[int]], b: Box) -> int:
     return value
 
 
-def _slide(rows: list[list[int]]) -> Box:
+def _slide(rows: list[list[int]]) -> tuple[int, int]:
     """Remove (1,1) in place and slide the hole out; return the vacated corner.
+
+    The corner is a plain 1-indexed (row, col) pair.
 
     Each entry that moves into the hole is checked against the one written
     before it, the pair the hole passed through, and then against its
@@ -350,11 +357,13 @@ def _slide(rows: list[list[int]]) -> Box:
     row.pop()
     if not row:
         del rows[r]
-    return Box(r + 1, c + 1)
+    return r + 1, c + 1
 
 
-def _unslide(rows: list[list[int]], corner: Box, v: int) -> None:
+def _unslide(rows: list[list[int]], corner: tuple[int, int], v: int) -> None:
     """Reverse slide in place from the addable ``corner``, then write v at (1,1).
+
+    ``corner`` is a 1-indexed (row, col) pair, a ``Box`` or a plain tuple.
 
     Each entry that moves into the hole is checked against the one written
     before it, the pair the hole passed through, and then against its
@@ -367,16 +376,15 @@ def _unslide(rows: list[list[int]], corner: Box, v: int) -> None:
         raise ValueError(f"entries must be positive, got {v}")
     if rows and rows[0][0] <= v:
         raise ValueError(f"{v} is not strictly smaller than every entry")
-    r, c = corner.row - 1, corner.col - 1
+    row, col = corner
+    r, c = row - 1, col - 1
     if r == len(rows) and c == 0:
         rows.append([0])
     elif 0 <= r < len(rows) and c == len(rows[r]) and (r == 0 or len(rows[r - 1]) > c):
         rows[r].append(0)
     else:
         lengths = ",".join(str(len(row)) for row in rows)
-        raise ValueError(
-            f"{tuple(corner)} is not an addable corner of shape ({lengths})"
-        )
+        raise ValueError(f"{(row, col)} is not an addable corner of shape ({lengths})")
     e = -1  # the hole came up into row r at column e; -1 in the corner's row
     x = 0  # the entry written before, into the cell the hole left
     row = rows[r]
@@ -451,7 +459,7 @@ def delete_min_and_slide(t: Tableau) -> tuple[Tableau, Box]:
     loses exactly one box.
     """
     rows = _thaw(t)
-    vacated = _slide(rows)
+    vacated = Box(*_slide(rows))
     return _freeze(rows), vacated
 
 

@@ -244,6 +244,36 @@ class TestConjugation:
             assert conjugate_matching(conjugate_matching(m)) == m
 
 
+class TestPublicTypes:
+    """Callers get ``TraceStep`` steps of ``Box`` boxes; the walks the
+    bijection builds for itself are plain ((row, col), insertion) moves."""
+
+    def test_steps_hold_trace_steps_of_boxes(self):
+        osc, trace = matching_to_oscillating(sample_uniform(50, 23, stream=1))
+        for steps in (
+            osc.steps,
+            trace.steps,
+            conjugate_oscillating(osc).steps,
+            OscillatingTableau(osc.shapes).steps,
+        ):
+            assert len(steps) == 100
+            assert all(type(s) is TraceStep and type(s.box) is Box for s in steps)
+        _, vacated = delete_min_and_slide(Tableau(((1, 3), (2,))))
+        assert type(vacated) is Box and vacated == Box(2, 1)
+
+    def test_conjugate_matching_builds_no_step_objects(self, monkeypatch):
+        m = sample_uniform(50, 23, stream=2)
+        expected = conjugate_matching(m)
+
+        def refuse(*args):
+            raise AssertionError("a TraceStep or Box was built")
+
+        monkeypatch.setattr("matchstat.bijection.TraceStep", refuse)
+        monkeypatch.setattr("matchstat.bijection.Box", refuse)
+        monkeypatch.setattr("matchstat.tableaux.Box", refuse)
+        assert conjugate_matching(m) == expected
+
+
 class TestClassification:
     def test_worked_example_cases(self):
         osc, _ = matching_to_oscillating(SIGMA)

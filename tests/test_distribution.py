@@ -40,6 +40,7 @@ from matchstat.distribution import (
 from matchstat.matchings import _STREAM_BLOCK
 
 from gf_oracle import gf_coefficient
+from walk_oracle import closed_walk_descents
 
 
 class TestPolynomials:
@@ -199,6 +200,19 @@ class TestLimbDifferencing:
             g = list(accumulate(g))
         assert self.plain(g, passes) == c
         assert _difference(g, passes, bits) == c
+
+
+class TestWalkOracle:
+    """Counting closed one-box walks by descents (tests/walk_oracle.py)
+    needs neither tableaux nor the generating function, and it counts
+    every degree, so it also checks the upper half of the coefficients,
+    which ``_gf_coeffs`` mirrors from the lower half."""
+
+    def test_equals_gf_coefficients(self):
+        counts = closed_walk_descents(17)
+        for n in range(1, 18):
+            assert counts[n] == list(polynomial_by_gf(n).coeffs)
+            assert sum(counts[n]) == double_factorial(2 * n - 1)
 
 
 class TestExactDistribution:

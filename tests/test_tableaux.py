@@ -311,6 +311,71 @@ class TestLocalChecks:
         assert rows == [[2, 3, 4]]
 
 
+def working_tableaux(seed, count):
+    """Random working tableaux: valid, or with one entry or one row length corrupted."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows = []
+        for _ in range(rng.randint(0, 20)):
+            _insert(rows, rng.randint(2, 40))
+        kind = rng.randrange(3) if rows else 0
+        if kind == 1:
+            row = rng.choice(rows)
+            row[rng.randrange(len(row))] = rng.randint(1, 41)
+        elif kind == 2:
+            row = rng.choice(rows)
+            if len(row) > 1 and rng.random() < 0.5:
+                row.pop()
+            else:
+                row.append(rng.randint(1, 41))
+        yield rows
+
+
+def outcome(op, rows, *args):
+    """Run op on a copy of rows: the rows after it and what it returned or raised."""
+    rows = [list(row) for row in rows]
+    try:
+        result = ("returned", op(rows, *args))
+    except Exception as exc:
+        result = ("raised", type(exc), str(exc))
+    return rows, result
+
+
+class TestCornerForms:
+    """The in-place operations take a corner as a ``Box`` or as a plain
+    (row, col) pair and must not tell them apart: same rows, same return
+    value, same exception and message, on every cell in and around the
+    shape of valid and corrupted working tableaux."""
+
+    def test_box_and_pair_agree(self):
+        rng = random.Random(15)
+        for rows in working_tableaux(2026, 300):
+            width = max(map(len, rows), default=0)
+            for r in range(0, len(rows) + 3):
+                for c in range(0, width + 3):
+                    assert outcome(_unbump, rows, Box(r, c)) == outcome(
+                        _unbump, rows, (r, c)
+                    )
+                    v = rng.choice((1, rng.randint(0, 41)))
+                    assert outcome(_unslide, rows, Box(r, c), v) == outcome(
+                        _unslide, rows, (r, c), v
+                    )
+
+    def test_slide_pair_is_the_public_box(self):
+        for rows in working_tableaux(2027, 300):
+            try:
+                tab = Tableau(tuple(map(tuple, rows)))
+            except ValueError:
+                continue
+            if not rows:
+                continue
+            after, (kind, pair) = outcome(_slide, rows)
+            smaller, box = delete_min_and_slide(tab)
+            assert kind == "returned" and type(pair) is tuple
+            assert type(box) is Box and box == pair
+            assert smaller.rows == tuple(map(tuple, after))
+
+
 def route_strictly_left(r1, r2):
     cols1 = {b.row: b.col for b in r1.boxes}
     cols2 = {b.row: b.col for b in r2.boxes}
