@@ -7,12 +7,17 @@ coefficient of t^m in a generating-function identity,
 
 evaluated exactly by taking first differences of the series 2n+1 times
 (subtraction only) up to degree n; the palindrome c_m = c_{2n-m} gives
-the rest.  The differencing runs in numpy, modulo 2^(32L) with L =
+the rest.  The series is seeded without division, by the falling
+factorials (x+n-1)_n = n! C(x+n-1, n) at x = k(k+1)/2 shifted right by
+v2(n!) = n - popcount(n): u times each term, with u the odd part of n!.
+The differencing runs in numpy, modulo 2^(32L) with L =
 bitlen((2n-1)!!) // 32 + 1, on int64 arrays of 32-bit limbs whose carries
 are moved up every 29 passes, before a limb can overflow; the last
-carries are folded in as the rows are read back as integers.  That is exact:
-differencing commutes with reduction modulo any integer, and every c_m
-lies in [0, (2n-1)!!], below 2^(32L), so each residue is c_m itself.
+carries are folded in as the rows are read back as integers, and each
+is multiplied by the one inverse of the odd u modulo 2^(32L).  That is
+exact: differencing commutes with reduction modulo any integer, u is a
+unit modulo a power of two, and every c_m lies in [0, (2n-1)!!], below
+2^(32L), so each residue is c_m itself.
 Every computation checks the result against the count (2n-1)!!, the
 mean n and the variance of the descent count, all known in closed form.
 On top of the exact distribution sit the diagnostics for convergence of
@@ -26,7 +31,8 @@ distance are c_m / (2n-1)!! by correctly rounded integer division
 (relative error <= 2^-53, the same float as rounding the exact rational),
 formed for m <= n and mirrored like the coefficients; MGF sums use
 math.fsum, and the series factor is evaluated entirely in log space via
-log-sum-exp because (2n)! overflows floats from n = 86 on.
+log-sum-exp because (2n)! overflows floats from n = 86 on.  numpy is
+imported on first use, so a process that only enumerates never loads it.
 """
 
 from __future__ import annotations
@@ -41,17 +47,18 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
-import numpy as np
-
 from .matchings import (
     BudgetError,
     _check_draws,
+    _lazy_numpy,
     _partners,
     closed_form_moments,
     descent_stats,
     double_factorial,
     enumerate_matchings,
 )
+
+np = _lazy_numpy(globals())
 
 __all__ = [
     "ENUMERATION_BUDGET",
@@ -130,12 +137,16 @@ def _carry(a: np.ndarray, carry: np.ndarray) -> None:
     a[:, 1:] += carry[:, :-1]
 
 
-def _difference(g: Sequence[int], passes: int, bits: int) -> list[int]:
-    """Apply c[k] -= c[k-1] (k >= 1, old values) ``passes`` times to g.
+def _difference(
+    g: Sequence[int], passes: int, bits: int, unit: int = 1
+) -> list[int]:
+    """Apply c[k] -= c[k-1] (k >= 1, old values) ``passes`` times to g / unit.
 
     Works modulo 2^(32L), L = bits // 32 + 1, in an int64 array of 32-bit
     limbs, one row per term.  Differencing is a ring map, so the results
-    are exact whenever each of them lies in [0, 2^bits).
+    are exact whenever each of them lies in [0, 2^bits).  ``unit`` is odd,
+    hence invertible modulo 2^(32L): g is differenced as given and each
+    result is multiplied by the one inverse of unit as it is read back.
 
     The rows are read back without carrying them out: at most 28 passes
     follow the last carry, so every limb is below 2^61 in magnitude and
@@ -158,12 +169,14 @@ def _difference(g: Sequence[int], passes: int, bits: int) -> list[int]:
     low = a.astype("<u4").tobytes()  # the cast keeps the low 32 bits
     high = ((a >> 32) + 2**31).astype("<u4").tobytes()
     bias = (mask // 0xFFFFFFFF) << 63
+    inverse = pow(unit, -1, mask + 1)
     return [
         (
             int.from_bytes(low[i : i + width], "little")
             + (int.from_bytes(high[i : i + width], "little") << 32)
             - bias
         )
+        * inverse
         & mask
         for i in range(0, len(low), width)
     ]
@@ -178,10 +191,13 @@ def _gf_coeffs(n: int) -> tuple[int, ...]:
     # Multiply sum_k g_k t^k by (1 - t) 2n+1 times, truncated at degree n.
     # Every c_m lies in [0, (2n-1)!!], so differencing modulo a power of
     # two above (2n-1)!! is exact.  The palindrome c_{n+j} = c_{n-j} gives
-    # degrees n+1 .. 2n-1.
+    # degrees n+1 .. 2n-1.  The seed is u g_k with u the odd part of n!:
+    # the falling factorial (x+n-1)_n = n! g_k at x = k(k+1)/2, shifted
+    # right by v2(n!) = n - popcount(n), takes no division.
     total = double_factorial(2 * n - 1)
-    g = [math.comb(k * (k + 1) // 2 + n - 1, n) for k in range(n + 1)]
-    c = _difference(g, 2 * n + 1, total.bit_length())
+    twos = n - bin(n).count("1")
+    g = [math.perm(k * (k + 1) // 2 + n - 1, n) >> twos for k in range(n + 1)]
+    c = _difference(g, 2 * n + 1, total.bit_length(), math.factorial(n) >> twos)
     coeffs = tuple(c + c[n - 1 : 0 : -1])
     _check_moments(n, coeffs, total)
     return coeffs
@@ -211,8 +227,11 @@ def polynomial_by_gf(n: int) -> DescentPolynomial:
     g_k = C(k(k+1)/2 + n - 1, n); only k <= m contributes to it, so the
     series is cut at degree n and differenced 2n+1 times, and degrees
     n+1 .. 2n-1 are mirrored from the palindrome c_m = c_{2n-m}.  The
-    differencing works on g_k modulo 2^(32L), a power of 2^32 above
-    (2n-1)!!, in numpy arrays of 32-bit limbs; since every c_m lies in
+    seed is u g_k = (x+n-1)_n >> v2(n!) with x = k(k+1)/2 and u the odd
+    part of n!, a falling factorial with no division.  The differencing
+    works on it modulo 2^(32L), a power of 2^32 above (2n-1)!!, in numpy
+    arrays of 32-bit limbs, and multiplies each result by the inverse of
+    u modulo 2^(32L), computed once; since every c_m lies in
     [0, (2n-1)!!], the residues it returns are the integers.  The
     result is checked against the count (2n-1)!!, the mean n and the
     variance of closed_form_moments(n), raising ArithmeticError otherwise.
@@ -341,7 +360,9 @@ def mgf_series_factor(n: int, s: float) -> float:
     comes from one Stirling-series difference per k, so the work is O(n)
     once plus O(terms) per pass.  The sum starts at 1024 terms and doubles
     until the last term's log magnitude falls below -40 nats.  A pass
-    that provably ends while the terms still rise is skipped; each pass
+    that provably ends while the terms still rise is skipped, and so is
+    one whose last term, taken first as a scalar lgamma difference (off
+    by far less than 1 nat), lies at -39 nats or above; each pass
     recomputes every term, so skipping does not change the value.  Raises
     BudgetError, before any array is built, once a pass taken or skipped
     would have n + terms above SERIES_BUDGET.
@@ -378,19 +399,27 @@ def mgf_series_factor(n: int, s: float) -> float:
         log_prefactor + math.fsum(np.log(two_j + (k * k + k))) - decay * k
         for k in (1, 2, 3)
     ]
+    log_scale = log_prefactor + n * math.log(2.0)
     while True:
-        k = np.arange(4, k_hi + 1, dtype=np.float64)
-        log_terms = _log_gamma_ratio((k * k + k) * 0.5, n)
-        log_terms += log_prefactor + n * math.log(2.0)
-        log_terms -= decay * k
-        log_terms = np.concatenate((head, log_terms))
-        # terms rise until k*s/sqrt(n) overtakes the 2n*log(k) growth; the
-        # truncation is sound only once the peak lies strictly inside the
-        # range and the last term has dropped below -40 nats
-        peak_idx = int(log_terms.argmax())
-        tail_log = float(log_terms[-1])
-        if peak_idx < k_hi - 1 and tail_log < min(-40.0, log_terms[peak_idx] - 40.0):
-            break
+        # the end test needs the last term below -40 nats; one scalar
+        # lgamma difference gives that term to far better than 1 nat, so
+        # a pass it puts at -39 nats or above cannot end and builds nothing
+        x = (k_hi * k_hi + k_hi) / 2
+        if log_scale + math.lgamma(x + n) - math.lgamma(x) - decay * k_hi < -39.0:
+            k = np.arange(4, k_hi + 1, dtype=np.float64)
+            log_terms = _log_gamma_ratio((k * k + k) * 0.5, n)
+            log_terms += log_scale
+            log_terms -= decay * k
+            log_terms = np.concatenate((head, log_terms))
+            # terms rise until k*s/sqrt(n) overtakes the 2n*log(k) growth;
+            # the truncation is sound only once the peak lies strictly
+            # inside the range and the last term has dropped below -40 nats
+            peak_idx = int(log_terms.argmax())
+            tail_log = float(log_terms[-1])
+            if peak_idx < k_hi - 1 and tail_log < min(
+                -40.0, log_terms[peak_idx] - 40.0
+            ):
+                break
         k_hi *= 2
         charge(k_hi)
     peak = float(log_terms[peak_idx])

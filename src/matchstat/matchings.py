@@ -12,11 +12,10 @@ passes one check (_check_draws) before its first draw.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Iterable, Iterator
-
-import numpy as np
 
 __all__ = [
     "SAMPLE_BUDGET",
@@ -35,6 +34,40 @@ __all__ = [
     "brute_force_moments",
     "compare_reports",
 ]
+
+
+class _LazyNumpy:
+    """Stands for numpy in a module's globals until numpy is first used.
+
+    The first attribute read or write imports numpy and rebinds the
+    module's ``np`` to it, so commands that draw nothing never import it
+    and later uses cost nothing.  Writes go to numpy itself, as they do
+    through numpy's own module.
+    """
+
+    def __init__(self, namespace: dict) -> None:
+        object.__setattr__(self, "_namespace", namespace)
+
+    def _load(self):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return numpy
+
+    def __getattr__(self, name: str):
+        return getattr(self._load(), name)
+
+    def __setattr__(self, name: str, value) -> None:
+        setattr(self._load(), name, value)
+
+
+def _lazy_numpy(namespace: dict):
+    # numpy itself once it is loaded: a process that imported it first
+    # pays nothing for the stand-in
+    return sys.modules.get("numpy") or _LazyNumpy(namespace)
+
+
+np = _lazy_numpy(globals())
 
 _UINT64_MAX = 2**64 - 1
 

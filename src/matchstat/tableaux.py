@@ -370,7 +370,9 @@ def _unslide(rows: list[list[int]], corner: tuple[int, int], v: int) -> None:
     right neighbour, or its below neighbour once it moves up; the below
     pair of an entry that moves left waits for its left pair.  The branch
     test settles the left pair of an entry that moves up and the above
-    pair of one that moves left.
+    pair of one that moves left.  Rows whose lengths are not a partition
+    can put the hole below a row too short to reach its column; reading
+    that row raises ValueError, which costs nothing on valid rows.
     """
     if v < 1:
         raise ValueError(f"entries must be positive, got {v}")
@@ -393,7 +395,10 @@ def _unslide(rows: list[list[int]], corner: tuple[int, int], v: int) -> None:
     while True:
         if r:
             above = rows[r - 1]
-            y = above[c]
+            try:
+                y = above[c]
+            except IndexError:  # after an upward move; the corner check held
+                raise ValueError(_LENGTHS) from None
             up = not (c and row[c - 1] > y)
             if not up:
                 y = row[c - 1]

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import matchstat
 from matchstat import bijection, distribution, matchings, tableaux
 
@@ -30,11 +32,15 @@ def test_removed_names_stay_removed():
     assert not hasattr(matchstat.CltReport, "to_json")
 
 
-def test_import_leaves_numpy_random_unloaded():
-    # numpy loads np.random on first access, at about 6 MB; only a draw
-    # needs it, so importing the package must not
+def numpy_modules_after(statement):
+    """Which of numpy and numpy.random a fresh interpreter has loaded
+    after running ``statement``."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, matchstat; print('numpy.random' in sys.modules)"
+    code = (
+        f"import sys\n{statement}\n"
+        "print([m for m in ('numpy', 'numpy.random') if m in sys.modules],"
+        " file=sys.stderr)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -43,4 +49,45 @@ def test_import_leaves_numpy_random_unloaded():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stderr.strip().splitlines()[-1]
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy costs most of the package's import time, and np.random about
+    # 6 MB more; only the commands that build arrays need either
+    assert numpy_modules_after("import matchstat") == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--n", "6"],
+        ["conjugate", "--matching", "1-4,2-3,5-6"],
+        ["tableau", "--matching", "1-4,2-3,5-6"],
+    ],
+)
+def test_commands_without_arrays_leave_numpy_unloaded(argv):
+    statement = f"from matchstat.cli import main\nassert main({argv!r}) == 0"
+    assert numpy_modules_after(statement) == "[]"
+
+
+def test_arrays_load_numpy_on_first_use():
+    statement = "import matchstat\nassert matchstat.polynomial_by_gf(3).total() == 15"
+    assert numpy_modules_after(statement) == "['numpy']"
+
+
+def test_lazy_numpy_rebinds_and_writes_through():
+    # tests monkeypatch matchstat.distribution.np.arange: a write through
+    # the stand-in must reach numpy, as it would through the module
+    import numpy
+
+    namespace = {}
+    stand_in = matchings._LazyNumpy(namespace)
+    stand_in.lazy_numpy_probe = 1
+    try:
+        assert namespace["np"] is numpy
+        assert numpy.lazy_numpy_probe == 1
+        assert stand_in.arange is numpy.arange
+    finally:
+        del numpy.lazy_numpy_probe
+    assert matchings._lazy_numpy({}) is numpy

@@ -29,6 +29,7 @@ from matchstat import (
     polynomial_by_gf,
     sample_uniform,
 )
+from matchstat import distribution
 from matchstat.cli import main
 from matchstat.distribution import (
     _check_moments,
@@ -200,6 +201,18 @@ class TestLimbDifferencing:
             g = list(accumulate(g))
         assert self.plain(g, passes) == c
         assert _difference(g, passes, bits) == c
+
+    @pytest.mark.parametrize("unit", [3, 2**61 - 1, 14175 * 2**9519 + 1])
+    def test_divides_out_an_odd_unit(self, unit):
+        # _gf_coeffs seeds u * g_k with u the odd part of n!; the last
+        # unit here is wider than the modulus 2^96
+        bits, passes = 64, 30
+        rng = Random(unit)
+        c = [rng.randrange(2**bits) for _ in range(self.ROWS)]
+        g = c
+        for _ in range(passes):
+            g = list(accumulate(g))
+        assert _difference([unit * x for x in g], passes, bits, unit) == c
 
 
 class TestWalkOracle:
@@ -403,6 +416,34 @@ class TestSeriesFactor:
         monkeypatch.setattr("matchstat.distribution.np.arange", no_arrays)
         with pytest.raises(BudgetError, match=r"n\+terms=4214304 "):
             mgf_series_factor(20000, 1.0)
+
+    # sha256 of repr of the values, n outermost, computed before passes
+    # were pre-checked in scalar floats
+    def test_values_digest(self):
+        values = [
+            mgf_series_factor(n, s)
+            for n in (1, 5, 25, 113, 143, 345, 1000)
+            for s in (0.5, 1.0, 2.0, 5.0)
+        ]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+            "8b893024e5440e369d5228a30bf09cf003fb8896bfe647e4e6739547f7da5282"
+        )
+
+    def test_pass_whose_last_term_is_too_large_builds_nothing(self, monkeypatch):
+        # at n = 345, s = 1 the log terms rise up to k ~ 12800, so the
+        # doubling starts at 16384 terms; the last of them lies near -30
+        # nats, so that pass cannot end the sum and only the pass of 32768
+        # terms is built
+        built = []
+
+        def counted(x, n):
+            built.append(len(x) + 3)
+            return log_gamma_ratio(x, n)
+
+        log_gamma_ratio = distribution._log_gamma_ratio
+        monkeypatch.setattr(distribution, "_log_gamma_ratio", counted)
+        mgf_series_factor(345, 1.0)
+        assert built == [32768]
 
     def test_rejects_bad_s(self):
         with pytest.raises(ValueError):

@@ -376,6 +376,40 @@ class TestCornerForms:
             assert smaller.rows == tuple(map(tuple, after))
 
 
+class TestCorruptedRows:
+    """_unslide raises ValueError, and nothing else, on working rows that
+    are not a tableau, wherever the corner is."""
+
+    # the hole moves up into a row whose upper neighbour is shorter than
+    # the hole's column: rows 3 and 4 of the first case have lengths 1, 2
+    @pytest.mark.parametrize(
+        "rows,corner",
+        [
+            (
+                [[3, 5, 6, 14, 34, 40], [10, 13, 20, 25, 40], [20], [28, 39], [35]],
+                (5, 2),
+            ),
+            (
+                [[2, 4, 11, 14, 18], [14, 19, 25, 33], [20, 29, 31], [27], [32, 40], [34]],
+                (6, 2),
+            ),
+        ],
+    )
+    def test_unslide_hole_below_a_shorter_row(self, rows, corner):
+        with pytest.raises(ValueError, match="row lengths must be weakly decreasing"):
+            _unslide(rows, corner, 1)
+
+    def test_every_corner_returns_or_raises_value_error(self):
+        for rows in working_tableaux(99, 4000):
+            width = max(map(len, rows), default=0)
+            for r in range(1, len(rows) + 2):
+                for c in range(1, width + 2):
+                    _, result = outcome(_unslide, rows, (r, c), 1)
+                    assert result[0] == "returned" or result[1] is ValueError, (
+                        rows, (r, c), result
+                    )
+
+
 def route_strictly_left(r1, r2):
     cols1 = {b.row: b.col for b in r1.boxes}
     cols2 = {b.row: b.col for b in r2.boxes}
