@@ -281,7 +281,20 @@ def cmd_clt(args) -> Report:
     )
 
 
+def _check_increasing(n_list: list[int]) -> None:
+    # the convergence checks compare values in the order of n
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(
+            f"--n must be strictly increasing, got {','.join(map(str, n_list))}"
+        )
+
+
 def cmd_mgf(args) -> Report:
+    _check_increasing(args.n)
+    # at s = 0 the MGF is 1 at every n, so its error cannot decrease
+    if 0 in args.s or len(set(args.s)) < len(args.s):
+        listed = ",".join(f"{s:g}" for s in args.s)
+        raise ValueError(f"--s must be distinct and nonzero, got {listed}")
     entries = mgf_convergence_report(args.n, args.s)
     decreasing = True
     for s in args.s:
@@ -297,6 +310,7 @@ def cmd_mgf(args) -> Report:
 
 
 def cmd_lemma41(args) -> Report:
+    _check_increasing(args.n)
     columns = ("n", "value", "lower_bound", "gap_to_limit")
     rows = []
     for n in args.n:

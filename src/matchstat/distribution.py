@@ -31,8 +31,10 @@ distance are c_m / (2n-1)!! by correctly rounded integer division
 (relative error <= 2^-53, the same float as rounding the exact rational),
 formed for m <= n and mirrored like the coefficients; MGF sums use
 math.fsum, and the series factor is evaluated entirely in log space via
-log-sum-exp because (2n)! overflows floats from n = 86 on.  numpy is
-imported on first use, so a process that only enumerates never loads it.
+log-sum-exp because (2n)! overflows floats from n = 86 on.  Each
+function that builds arrays imports numpy itself, so a process that only
+enumerates never loads it, and clt_experiment imports the process pool
+only when it starts more than one worker.
 """
 
 from __future__ import annotations
@@ -40,17 +42,15 @@ from __future__ import annotations
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .matchings import (
     BudgetError,
     _check_draws,
-    _lazy_numpy,
     _partners,
     closed_form_moments,
     descent_stats,
@@ -58,7 +58,8 @@ from .matchings import (
     enumerate_matchings,
 )
 
-np = _lazy_numpy(globals())
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ENUMERATION_BUDGET",
@@ -132,6 +133,8 @@ def _carry(a: np.ndarray, carry: np.ndarray) -> None:
     modulo 2^(32L).  Afterwards the low limb lies in [0, 2^32) and every
     other limb in [-2^31, 2^32 + 2^31).
     """
+    import numpy as np
+
     np.right_shift(a, 32, out=carry)
     a &= 0xFFFFFFFF
     a[:, 1:] += carry[:, :-1]
@@ -154,6 +157,8 @@ def _difference(
     2^(32L), where LO and HI read the lo and the hi + 2^31 limbs as
     unsigned integers and B = 2^63 (1 + 2^32 + ... + 2^(32(L-1))).
     """
+    import numpy as np
+
     limbs = bits // 32 + 1
     width = 4 * limbs
     mask = (1 << 32 * limbs) - 1
@@ -342,6 +347,8 @@ def _stirling_tail(z: np.ndarray) -> np.ndarray:
 
 def _log_gamma_ratio(x: np.ndarray, n: int) -> np.ndarray:
     """lnGamma(x + n) - lnGamma(x) for x >= 10, without cancelling two lgammas."""
+    import numpy as np
+
     out = np.log1p(n / x)
     out *= x - 0.5
     out += n * np.log(x + n) - n
@@ -367,6 +374,8 @@ def mgf_series_factor(n: int, s: float) -> float:
     BudgetError, before any array is built, once a pass taken or skipped
     would have n + terms above SERIES_BUDGET.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 < s < math.inf:
@@ -409,7 +418,8 @@ def mgf_series_factor(n: int, s: float) -> float:
             k = np.arange(4, k_hi + 1, dtype=np.float64)
             log_terms = _log_gamma_ratio((k * k + k) * 0.5, n)
             log_terms += log_scale
-            log_terms -= decay * k
+            with np.errstate(over="ignore"):  # inf for s near the float max
+                log_terms -= decay * k
             log_terms = np.concatenate((head, log_terms))
             # terms rise until k*s/sqrt(n) overtakes the 2n*log(k) growth;
             # the truncation is sound only once the peak lies strictly
@@ -483,6 +493,8 @@ def _descent_counts_range(n: int, seed: int, start: int, stop: int) -> np.ndarra
     per block of streams (see _partners), so the counts do not depend on
     how a range is cut; the caller has checked n, seed and start.
     """
+    import numpy as np
+
     out = np.empty(stop - start, dtype=np.int64)
     is_descent = np.empty(2 * n - 1, dtype=bool)
     for i, partner in enumerate(_partners(n, seed, start, stop)):
@@ -499,9 +511,11 @@ def _resolve_workers(threads: int | None) -> int:
         try:
             threads = int(env) if env else 1
         except ValueError:
+            threads = 0  # refused below, like a count below 1
+        if threads < 1:
             raise ValueError(
                 f"MATCHSTAT_THREADS must be a positive integer, got {env!r}"
-            ) from None
+            )
     if threads < 1:
         raise ValueError("thread count must be >= 1")
     return min(threads, os.cpu_count() or 1)
@@ -524,6 +538,8 @@ def clt_experiment(
     num_samples * max(2n, 1024) above DRAW_BUDGET, then ValueError for a
     seed outside [0, 2^64).
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1")
     if num_samples < 2:
@@ -533,6 +549,8 @@ def clt_experiment(
     if workers == 1 or num_samples < 4 * workers:
         counts = _descent_counts_range(n, seed, 0, num_samples)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, num_samples, 4 * workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [

@@ -12,10 +12,12 @@ passes one check (_check_draws) before its first draw.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Iterable, Iterator
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SAMPLE_BUDGET",
@@ -34,40 +36,6 @@ __all__ = [
     "brute_force_moments",
     "compare_reports",
 ]
-
-
-class _LazyNumpy:
-    """Stands for numpy in a module's globals until numpy is first used.
-
-    The first attribute read or write imports numpy and rebinds the
-    module's ``np`` to it, so commands that draw nothing never import it
-    and later uses cost nothing.  Writes go to numpy itself, as they do
-    through numpy's own module.
-    """
-
-    def __init__(self, namespace: dict) -> None:
-        object.__setattr__(self, "_namespace", namespace)
-
-    def _load(self):
-        import numpy
-
-        self._namespace["np"] = numpy
-        return numpy
-
-    def __getattr__(self, name: str):
-        return getattr(self._load(), name)
-
-    def __setattr__(self, name: str, value) -> None:
-        setattr(self._load(), name, value)
-
-
-def _lazy_numpy(namespace: dict):
-    # numpy itself once it is loaded: a process that imported it first
-    # pays nothing for the stand-in
-    return sys.modules.get("numpy") or _LazyNumpy(namespace)
-
-
-np = _lazy_numpy(globals())
 
 _UINT64_MAX = 2**64 - 1
 
@@ -317,6 +285,8 @@ def _stream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     then the word k, so only the last mixing round depends on k: it and
     generate_state(4, uint64) run vectorised over k.
     """
+    import numpy as np
+
     h = _MIX_HASH
     entropy = (seed & _M32, seed >> 32, 0, 0)
     pool = [_hash(w, h[j], h[j + 1]) for j, w in enumerate(entropy)]
@@ -348,9 +318,10 @@ def _stream_generators(
     # range of one stream (cheaper than a pass) and for streams >= 2^32.
     # States are computed a block at a time, so memory does not grow
     # with the range.
-    # numpy loads np.random on first access; reaching it only here keeps
-    # it, and its memory, out of processes that never draw.
-    random = np.random
+    # numpy.random is imported only here, which keeps it, and its memory,
+    # out of processes that never draw.
+    from numpy import random
+
     block_stop = min(stop, _TWO_WORD_STREAM) if stop - start > 1 else start
     if start < block_stop:
         bits = random.PCG64(0)
@@ -382,6 +353,8 @@ def _partners(n: int, seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
     is built by numpy's constructors.  Every draw overwrites and yields
     the same array, so a caller must use it before taking the next one.
     """
+    import numpy as np
+
     letters = np.arange(2 * n)
     neighbour = letters ^ 1
     perm = np.empty_like(letters)

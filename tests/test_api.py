@@ -32,14 +32,22 @@ def test_removed_names_stay_removed():
     assert not hasattr(matchstat.CltReport, "to_json")
 
 
-def numpy_modules_after(statement):
-    """Which of numpy and numpy.random a fresh interpreter has loaded
-    after running ``statement``."""
+#: Modules that only the commands building arrays, or a worker pool, need.
+HEAVY_MODULES = (
+    "numpy",
+    "numpy.random",
+    "concurrent.futures.process",
+    "multiprocessing",
+)
+
+
+def heavy_modules_after(statement):
+    """Which of HEAVY_MODULES a fresh interpreter has loaded after running
+    ``statement``."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         f"import sys\n{statement}\n"
-        "print([m for m in ('numpy', 'numpy.random') if m in sys.modules],"
-        " file=sys.stderr)"
+        f"print([m for m in {HEAVY_MODULES!r} if m in sys.modules], file=sys.stderr)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -54,8 +62,9 @@ def numpy_modules_after(statement):
 
 def test_import_leaves_numpy_random_unloaded():
     # numpy costs most of the package's import time, and np.random about
-    # 6 MB more; only the commands that build arrays need either
-    assert numpy_modules_after("import matchstat") == "[]"
+    # 6 MB more; only the commands that build arrays need either, and only
+    # clt with more than one worker needs the process pool
+    assert heavy_modules_after("import matchstat") == "[]"
 
 
 @pytest.mark.parametrize(
@@ -68,26 +77,9 @@ def test_import_leaves_numpy_random_unloaded():
 )
 def test_commands_without_arrays_leave_numpy_unloaded(argv):
     statement = f"from matchstat.cli import main\nassert main({argv!r}) == 0"
-    assert numpy_modules_after(statement) == "[]"
+    assert heavy_modules_after(statement) == "[]"
 
 
 def test_arrays_load_numpy_on_first_use():
     statement = "import matchstat\nassert matchstat.polynomial_by_gf(3).total() == 15"
-    assert numpy_modules_after(statement) == "['numpy']"
-
-
-def test_lazy_numpy_rebinds_and_writes_through():
-    # tests monkeypatch matchstat.distribution.np.arange: a write through
-    # the stand-in must reach numpy, as it would through the module
-    import numpy
-
-    namespace = {}
-    stand_in = matchings._LazyNumpy(namespace)
-    stand_in.lazy_numpy_probe = 1
-    try:
-        assert namespace["np"] is numpy
-        assert numpy.lazy_numpy_probe == 1
-        assert stand_in.arange is numpy.arange
-    finally:
-        del numpy.lazy_numpy_probe
-    assert matchings._lazy_numpy({}) is numpy
+    assert heavy_modules_after(statement) == "['numpy']"

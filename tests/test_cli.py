@@ -241,8 +241,9 @@ class TestClt:
         assert "num_samples must be >= 2" in err
         assert run(capsys, "clt", "--n", "5", "--samples", "2")[0] in (0, 1)
 
-    def test_bad_thread_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("MATCHSTAT_THREADS", "many")
+    @pytest.mark.parametrize("value", ["many", "0", "-2"])
+    def test_bad_thread_env_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MATCHSTAT_THREADS", value)
         code, _, err = run(capsys, "clt", "--n", "5", "--samples", "10")
         assert code == 2
         assert "MATCHSTAT_THREADS" in err
@@ -351,6 +352,12 @@ BAD_INPUTS = [
     (["mgf", "--n", "10", "--s", "nan"], 2),
     (["mgf", "--n", "10", "--s", "1,inf"], 2),
     (["mgf", "--n", "10,", "--s", "1"], 2),
+    # a convergence check needs n strictly increasing and distinct nonzero s
+    (["mgf", "--n", "100,10"], 2),
+    (["mgf", "--n", "10,10"], 2),
+    (["mgf", "--n", "10", "--s", "1,1"], 2),
+    (["mgf", "--n", "10,100", "--s", "0"], 2),
+    (["lemma41", "--n", "400,100,25"], 2),
     (["lemma41", "--n", "25", "--s", "nan"], 2),
     (["lemma41", "--n", "25", "--s", "inf"], 2),
     (["lemma41", "--n", "25", "--s", "-1"], 2),

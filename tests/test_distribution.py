@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -353,6 +354,12 @@ class TestSeriesFactor:
                 bound = math.exp(-s / math.sqrt(n)) - 1e-9
                 assert mgf_series_factor(n, s) >= bound
 
+    def test_huge_s_underflows_without_warning(self):
+        # k s/sqrt(n) overflows to inf for k >= 2: the term is 0, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mgf_series_factor(4, 1.4e308) == 0.0
+
     def test_gap_shrinks(self):
         gaps = [abs(mgf_series_factor(n, 1.0) - 1.0) for n in (25, 100)]
         assert gaps[0] > gaps[1]
@@ -402,7 +409,7 @@ class TestSeriesFactor:
         def no_arrays(*args, **kwargs):
             raise AssertionError("an array was built")
 
-        monkeypatch.setattr("matchstat.distribution.np.arange", no_arrays)
+        monkeypatch.setattr("numpy.arange", no_arrays)
         with pytest.raises(BudgetError, match=r"n\+terms=4195328 "):
             mgf_series_factor(2**22, 1.0)
 
@@ -413,7 +420,7 @@ class TestSeriesFactor:
         def no_arrays(*args, **kwargs):
             raise AssertionError("an array was built")
 
-        monkeypatch.setattr("matchstat.distribution.np.arange", no_arrays)
+        monkeypatch.setattr("numpy.arange", no_arrays)
         with pytest.raises(BudgetError, match=r"n\+terms=4214304 "):
             mgf_series_factor(20000, 1.0)
 
@@ -509,7 +516,7 @@ class TestCltExperiment:
             raise AssertionError("a worker pool started")
 
         monkeypatch.setattr("matchstat.matchings.SAMPLE_BUDGET", 20)
-        monkeypatch.setattr("matchstat.distribution.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         assert clt_experiment(20, 300, 9, threads=1).n == 20
         with pytest.raises(BudgetError, match="n=21 exceeds the budget n <= 20"):
             clt_experiment(21, 300, 9, threads=2)
@@ -519,7 +526,7 @@ class TestCltExperiment:
             raise AssertionError("a worker pool started")
 
         monkeypatch.setattr("matchstat.matchings.DRAW_BUDGET", 300 * 1024)
-        monkeypatch.setattr("matchstat.distribution.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         assert clt_experiment(20, 300, 9, threads=1).num_samples == 300
         # every draw is charged at least 1024 letters, n = 1 included
         for n in (1, 20, 512):
@@ -533,7 +540,7 @@ class TestCltExperiment:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool started")
 
-        monkeypatch.setattr("matchstat.distribution.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
             clt_experiment(10, 100, seed, threads=2)
 

@@ -296,7 +296,7 @@ class TestDrawRequest:
         monkeypatch.setattr("matchstat.matchings.SAMPLE_BUDGET", 10)
         monkeypatch.setattr("matchstat.matchings.DRAW_BUDGET", 1000)
         monkeypatch.setattr("matchstat.matchings._stream_generators", no_draw)
-        monkeypatch.setattr("matchstat.distribution.ProcessPoolExecutor", no_draw)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_draw)
         draw = self.ENTRY_POINTS[entry]
         # every draw costs at least 1024 letters: n = 10 breaks only the
         # draw budget, n = 11 both budgets
