@@ -264,11 +264,6 @@ def _mirrored_law(
 
 
 @lru_cache(maxsize=16)
-def _exact_distribution(n: int) -> tuple[tuple[int, Fraction], ...]:
-    return _mirrored_law(n, Fraction)
-
-
-@lru_cache(maxsize=16)
 def _exact_floats(n: int) -> tuple[tuple[int, float], ...]:
     # int true division is correctly rounded, so each value equals
     # float(Fraction(c_m, total)) bit for bit without the gcd
@@ -284,7 +279,7 @@ def exact_distribution(n: int) -> list[tuple[int, Fraction]]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return list(_exact_distribution(n))
+    return list(_mirrored_law(n, Fraction))
 
 
 def mgf_Wn(n: int, s: float) -> float:
@@ -364,15 +359,21 @@ def mgf_series_factor(n: int, s: float) -> float:
     * exp(-k s / sqrt(n)) in log space, with the outer sum a log-sum-exp.
     With x = (k^2+k)/2 the product is 2^n Gamma(x+n)/Gamma(x): for k <= 3
     its logarithm is summed factor by factor, and for k >= 4 (x >= 10) it
-    comes from one Stirling-series difference per k, so the work is O(n)
-    once plus O(terms) per pass.  The sum starts at 1024 terms and doubles
-    until the last term's log magnitude falls below -40 nats.  A pass
-    that provably ends while the terms still rise is skipped, and so is
-    one whose last term, taken first as a scalar lgamma difference (off
-    by far less than 1 nat), lies at -39 nats or above; each pass
-    recomputes every term, so skipping does not change the value.  Raises
-    BudgetError, before any array is built, once a pass taken or skipped
-    would have n + terms above SERIES_BUDGET.
+    comes from one Stirling-series difference per k, so each pass costs
+    O(n + terms).  One loop doubles the number of terms from 1024 until
+    the last term's log magnitude falls below -40 nats.  A pass that
+    cannot end is skipped: one where the terms provably still rise at
+    its last k, or one whose last term, taken first as a scalar lgamma
+    difference (off by far less than 1 nat), lies at -39 nats or above.
+    Each pass recomputes every term, so skipping does not change the
+    value.  Raises BudgetError, before any array is built, once a pass
+    taken or skipped would have n + terms above SERIES_BUDGET, and
+    OverflowError naming n and s when the factor exceeds the float range.
+
+    Equivalently, the product is 2^n n! g_k with g_k = C(x+n-1, n) and
+    (2n)! = 2^n n! (2n-1)!!, so the generating-function identity of
+    polynomial_by_gf gives the factor, with d = s/sqrt(n), as
+    (d / (1 - e^-d))^(2n+1) * sum_m c_m e^(-d m) / (2n-1)!!.
     """
     import numpy as np
 
@@ -380,60 +381,54 @@ def mgf_series_factor(n: int, s: float) -> float:
         raise ValueError("n must be >= 1")
     if not 0 < s < math.inf:
         raise ValueError(f"s must be positive and finite, got {s}")
-
-    def charge(k_hi: int) -> None:
-        if n + k_hi > SERIES_BUDGET:
-            raise BudgetError("n+terms", n + k_hi, SERIES_BUDGET)
-
     decay = s / math.sqrt(n)
-
-    def rises_through(k: int) -> bool:
-        # d/dk sum_j log(k^2+k+2j) >= n(2k+1)/(k^2+k+2n-2); the bound is
-        # 3/2 at k = 1 and unimodal, so where it exceeds decay at 1 and at
-        # k it does on all of [1, k], the log terms rise up to k, and a
-        # pass ending at k cannot end the doubling
-        return decay < 1.5 and n * (2 * k + 1) > decay * (k * k + k + 2 * n - 2)
-
-    k_hi = 1024
-    charge(k_hi)
-    while rises_through(k_hi):
-        k_hi *= 2
-        charge(k_hi)
     log_prefactor = (2 * n + 1) * (math.log(s) - 0.5 * math.log(n)) - math.lgamma(
         2 * n + 1
     )
-    # term for k = 0 is exactly zero (the j = 0 factor vanishes)
-    two_j = 2.0 * np.arange(n, dtype=np.float64)
-    head = [
-        log_prefactor + math.fsum(np.log(two_j + (k * k + k))) - decay * k
-        for k in (1, 2, 3)
-    ]
     log_scale = log_prefactor + n * math.log(2.0)
+    head: list[float] = []
+    k_hi = 512
     while True:
-        # the end test needs the last term below -40 nats; one scalar
-        # lgamma difference gives that term to far better than 1 nat, so
-        # a pass it puts at -39 nats or above cannot end and builds nothing
-        x = (k_hi * k_hi + k_hi) / 2
-        if log_scale + math.lgamma(x + n) - math.lgamma(x) - decay * k_hi < -39.0:
-            k = np.arange(4, k_hi + 1, dtype=np.float64)
-            log_terms = _log_gamma_ratio((k * k + k) * 0.5, n)
-            log_terms += log_scale
-            with np.errstate(over="ignore"):  # inf for s near the float max
-                log_terms -= decay * k
-            log_terms = np.concatenate((head, log_terms))
-            # terms rise until k*s/sqrt(n) overtakes the 2n*log(k) growth;
-            # the truncation is sound only once the peak lies strictly
-            # inside the range and the last term has dropped below -40 nats
-            peak_idx = int(log_terms.argmax())
-            tail_log = float(log_terms[-1])
-            if peak_idx < k_hi - 1 and tail_log < min(
-                -40.0, log_terms[peak_idx] - 40.0
-            ):
-                break
         k_hi *= 2
-        charge(k_hi)
-    peak = float(log_terms[peak_idx])
-    return math.exp(peak + math.log(float(np.exp(log_terms - peak).sum())))
+        if n + k_hi > SERIES_BUDGET:
+            raise BudgetError("n+terms", n + k_hi, SERIES_BUDGET)
+        # A pass cannot end if its last term, from one scalar lgamma
+        # difference (off by far less than 1 nat), lies at -39 nats or
+        # above.  Nor can it while the terms rise: d/dk sum_j log(k^2+k+2j)
+        # >= n(2k+1)/(k^2+k+2n-2), and n(2k+1) - decay(k^2+k+2n-2) is a
+        # quadratic in k, positive at k = 1 exactly when decay < 3/2, so
+        # positive on an interval [1, k2) that holds k_hi here.
+        x = (k_hi * k_hi + k_hi) / 2
+        last = log_scale + math.lgamma(x + n) - math.lgamma(x) - decay * k_hi
+        if last >= -39.0 or (
+            decay < 1.5
+            and n * (2 * k_hi + 1) > decay * (k_hi * k_hi + k_hi + 2 * n - 2)
+        ):
+            continue
+        if not head:  # k = 0 adds nothing: its j = 0 factor vanishes
+            two_j = 2.0 * np.arange(n, dtype=np.float64)
+            head = [
+                log_prefactor + math.fsum(np.log(two_j + (k * k + k))) - decay * k
+                for k in (1, 2, 3)
+            ]
+        k = np.arange(4, k_hi + 1, dtype=np.float64)
+        log_terms = _log_gamma_ratio((k * k + k) * 0.5, n)
+        log_terms += log_scale
+        with np.errstate(over="ignore"):  # inf for s near the float max
+            log_terms -= decay * k
+        log_terms = np.concatenate((head, log_terms))
+        # the truncation is sound only once the peak lies strictly inside
+        # the range and the last term has dropped below -40 nats
+        peak_idx = int(log_terms.argmax())
+        peak = float(log_terms[peak_idx])
+        if peak_idx < k_hi - 1 and log_terms[-1] < min(-40.0, peak - 40.0):
+            break
+    try:
+        return math.exp(peak + math.log(float(np.exp(log_terms - peak).sum())))
+    except OverflowError:
+        raise OverflowError(
+            f"exp overflow evaluating the series factor at n={n}, s={s}"
+        ) from None
 
 
 def _normal_cdf(x: float, sigma: float) -> float:

@@ -270,6 +270,19 @@ class TestMgf:
         for entry in payload["entries"]:
             assert set(entry) == {"n", "s", "mgf_value", "target", "abs_error"}
 
+    def test_negative_s_list_after_equals_sign(self, capsys):
+        # "--s -1,1" is taken for an option by argparse; "--s=-1,1" is not
+        code, out, _ = run(
+            capsys, "mgf", "--n", "10,100", "--s=-1,1", "--format", "json"
+        )
+        assert code == 0
+        entries = json.loads(out)["entries"]
+        assert [(e["n"], e["s"]) for e in entries] == [
+            (10, -1.0), (10, 1.0), (100, -1.0), (100, 1.0)
+        ]
+        assert entries[0]["mgf_value"] == entries[1]["mgf_value"]
+        assert entries[2]["mgf_value"] == entries[3]["mgf_value"]
+
 
 class TestLemma41:
     def test_convergence(self, capsys):
@@ -289,6 +302,13 @@ class TestLemma41:
         payload = json.loads(out)
         assert payload["gap_strictly_decreasing"] is True
         assert len(payload["rows"]) == 2
+
+    def test_overflow_names_n_and_s(self, capsys):
+        code, out, err = run(capsys, "lemma41", "--n", "345", "--s", "1000")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: exp overflow evaluating the series factor at n=345, s=1000.0\n"
+        )
 
 
 class TestPlumbing:
@@ -362,6 +382,7 @@ BAD_INPUTS = [
     (["lemma41", "--n", "25", "--s", "inf"], 2),
     (["lemma41", "--n", "25", "--s", "-1"], 2),
     (["lemma41", "--n", "25", "--k-max", "8"], 2),
+    (["lemma41", "--n", "2000,5000", "--s", "1e4"], 2),  # exp overflows
     (["stats", "--n", "0"], 2),
     (["poly", "--n", "2", "--frobnicate"], 2),
     (["conjugate", "--matching", "1-1"], 2),

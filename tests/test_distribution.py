@@ -343,6 +343,24 @@ def decimal_series_factor(n: int, s: float) -> float:
         return float(decay ** (2 * n + 1) / math.factorial(2 * n) * total)
 
 
+def log_series_factor_by_gf(n: int, s: float, coeffs) -> float:
+    """log of (x/(1-e^-x))^(2n+1) * sum_m c_m e^(-x m) / (2n-1)!!, x = s/sqrt(n).
+
+    The series factor in closed form through the generating-function
+    identity, from the exact coefficients c_m: with y = (k^2+k)/2,
+    prod_{j<n} (k^2+k+2j) = 2^n n! C(y+n-1, n) and (2n)! = 2^n n! (2n-1)!!.
+    """
+    x = s / math.sqrt(n)
+    logs = [math.log(c) - x * m for m, c in enumerate(coeffs) if c]
+    top = max(logs)
+    log_sum = top + math.log(math.fsum(math.exp(v - top) for v in logs))
+    return (
+        (2 * n + 1) * (math.log(x) - math.log(-math.expm1(-x)))
+        + log_sum
+        - math.log(double_factorial(2 * n - 1))
+    )
+
+
 class TestSeriesFactor:
     def test_small_case_against_direct_sum(self):
         direct = sum(k * (k + 1) * math.exp(-k) for k in range(51)) / 2
@@ -359,6 +377,34 @@ class TestSeriesFactor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert mgf_series_factor(4, 1.4e308) == 0.0
+
+    def test_overflow_names_n_and_s(self):
+        with pytest.raises(
+            OverflowError,
+            match=r"^exp overflow evaluating the series factor at n=345, s=1000\.0$",
+        ):
+            mgf_series_factor(345, 1000.0)
+
+    # s = c sqrt(n) fixes decay = s/sqrt(n) at c: the rule that skips
+    # passes while the terms rise applies only below decay 1.5
+    @pytest.mark.parametrize("n", [1, 2, 5, 25, 143, 345, 1000])
+    def test_against_generating_function(self, n, request):
+        coeffs = (
+            request.getfixturevalue("coeffs_1000")
+            if n == 1000
+            else polynomial_by_gf(n).coeffs
+        )
+        scaled = [c * math.sqrt(n) for c in (1.5, 1.65, 3, 7.5)]
+        checked = 0
+        for s in (0.3, 1.0, 3.0, 10.0, *scaled):
+            log_value = log_series_factor_by_gf(n, s, coeffs)
+            if not -700 < log_value < 700:
+                continue  # outside the float range
+            assert mgf_series_factor(n, s) == pytest.approx(
+                math.exp(log_value), rel=1e-10
+            ), s
+            checked += 1
+        assert checked >= 5
 
     def test_gap_shrinks(self):
         gaps = [abs(mgf_series_factor(n, 1.0) - 1.0) for n in (25, 100)]
