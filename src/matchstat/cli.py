@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from itertools import pairwise
 
 from .bijection import (
     conjugate_matching,
@@ -289,6 +290,17 @@ def _check_increasing(n_list: list[int]) -> None:
         )
 
 
+def _check_resolved(what: str, n_list: list[int], values: list[float], s: float) -> None:
+    # two values both at the float floor 0.0 cannot show a decrease in n:
+    # the check is beyond float resolution there, not failed
+    for (n_a, a), (n_b, b) in pairwise(zip(n_list, values)):
+        if a == b == 0.0:
+            raise ValueError(
+                f"{what} is 0.0 at both n={n_a} and n={n_b} for s={s:g}, "
+                "below float resolution"
+            )
+
+
 def cmd_mgf(args) -> Report:
     _check_increasing(args.n)
     # at s = 0 the MGF is 1 at every n, so its error cannot decrease
@@ -299,6 +311,7 @@ def cmd_mgf(args) -> Report:
     decreasing = True
     for s in args.s:
         errs = [e.abs_error for e in entries if e.s == s]
+        _check_resolved("abs_error", args.n, errs, s)
         decreasing &= all(a > b for a, b in zip(errs, errs[1:]))
     return Report(
         json.dumps({"entries": [_rounded(e._asdict()) for e in entries]}),
@@ -317,6 +330,7 @@ def cmd_lemma41(args) -> Report:
         value = mgf_series_factor(n, args.s)
         bound = math.exp(-args.s / math.sqrt(n)) - SERIES_BOUND_SLACK
         rows.append((n, value, bound, abs(value - 1.0)))
+    _check_resolved("the series factor", args.n, [row[1] for row in rows], args.s)
     gaps = [row[3] for row in rows]
     decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
     payload = {

@@ -12,12 +12,12 @@ factorials (x+n-1)_n = n! C(x+n-1, n) at x = k(k+1)/2 shifted right by
 v2(n!) = n - popcount(n): u times each term, with u the odd part of n!.
 The differencing runs in numpy, modulo 2^(32L) with L =
 bitlen((2n-1)!!) // 32 + 1, on int64 arrays of 32-bit limbs whose carries
-are moved up every 29 passes, before a limb can overflow; the last
-carries are folded in as the rows are read back as integers, and each
-is multiplied by the one inverse of the odd u modulo 2^(32L).  That is
-exact: differencing commutes with reduction modulo any integer, u is a
-unit modulo a power of two, and every c_m lies in [0, (2n-1)!!], below
-2^(32L), so each residue is c_m itself.
+are moved up every 29 passes, before a limb can overflow, and at the
+end until every limb lies in [0, 2^32); each row is then read back as
+one integer and multiplied by the one inverse of the odd u modulo
+2^(32L).  That is exact: differencing commutes with reduction modulo
+any integer, u is a unit modulo a power of two, and every c_m lies in
+[0, (2n-1)!!], below 2^(32L), so each residue is c_m itself.
 Every computation checks the result against the count (2n-1)!!, the
 mean n and the variance of the descent count, all known in closed form.
 On top of the exact distribution sit the diagnostics for convergence of
@@ -150,12 +150,6 @@ def _difference(
     are exact whenever each of them lies in [0, 2^bits).  ``unit`` is odd,
     hence invertible modulo 2^(32L): g is differenced as given and each
     result is multiplied by the one inverse of unit as it is read back.
-
-    The rows are read back without carrying them out: at most 28 passes
-    follow the last carry, so every limb is below 2^61 in magnitude and
-    is lo + 2^32 hi with lo its low 32 bits and hi + 2^31 in [0, 2^32).  A row is then LO + 2^32 HI - B modulo
-    2^(32L), where LO and HI read the lo and the hi + 2^31 limbs as
-    unsigned integers and B = 2^63 (1 + 2^32 + ... + 2^(32(L-1))).
     """
     import numpy as np
 
@@ -171,19 +165,14 @@ def _difference(
         a, b = b, a
         if done % _PASSES_PER_CARRY == 0:
             _carry(a, carry)
-    low = a.astype("<u4").tobytes()  # the cast keeps the low 32 bits
-    high = ((a >> 32) + 2**31).astype("<u4").tobytes()
-    bias = (mask // 0xFFFFFFFF) << 63
+    # carry out until every limb lies in [0, 2^32)
+    while np.right_shift(a, 32, out=carry).any():
+        _carry(a, carry)
+    rows = a.astype("<u4").tobytes()
     inverse = pow(unit, -1, mask + 1)
     return [
-        (
-            int.from_bytes(low[i : i + width], "little")
-            + (int.from_bytes(high[i : i + width], "little") << 32)
-            - bias
-        )
-        * inverse
-        & mask
-        for i in range(0, len(low), width)
+        int.from_bytes(rows[i : i + width], "little") * inverse & mask
+        for i in range(0, len(rows), width)
     ]
 
 
@@ -359,13 +348,14 @@ def mgf_series_factor(n: int, s: float) -> float:
     * exp(-k s / sqrt(n)) in log space, with the outer sum a log-sum-exp.
     With x = (k^2+k)/2 the product is 2^n Gamma(x+n)/Gamma(x): for k <= 3
     its logarithm is summed factor by factor, and for k >= 4 (x >= 10) it
-    comes from one Stirling-series difference per k, so each pass costs
+    comes from one Stirling-series difference per k, so the factor costs
     O(n + terms).  One loop doubles the number of terms from 1024 until
     the last term's log magnitude falls below -40 nats.  A pass that
     cannot end is skipped: one where the terms provably still rise at
     its last k, or one whose last term, taken first as a scalar lgamma
     difference (off by far less than 1 nat), lies at -39 nats or above.
-    Each pass recomputes every term, so skipping does not change the
+    Each term is computed once, by the first pass built that reaches it,
+    and later passes append theirs, so skipping does not change the
     value.  Raises BudgetError, before any array is built, once a pass
     taken or skipped would have n + terms above SERIES_BUDGET, and
     OverflowError naming n and s when the factor exceeds the float range.
@@ -386,7 +376,9 @@ def mgf_series_factor(n: int, s: float) -> float:
         2 * n + 1
     )
     log_scale = log_prefactor + n * math.log(2.0)
-    head: list[float] = []
+    chunks: list[np.ndarray] = []  # the log terms of k = 1 .. k_lo - 1
+    peak = -math.inf
+    k_lo = 4
     k_hi = 512
     while True:
         k_hi *= 2
@@ -405,24 +397,28 @@ def mgf_series_factor(n: int, s: float) -> float:
             and n * (2 * k_hi + 1) > decay * (k_hi * k_hi + k_hi + 2 * n - 2)
         ):
             continue
-        if not head:  # k = 0 adds nothing: its j = 0 factor vanishes
+        if not chunks:  # k = 0 adds nothing: its j = 0 factor vanishes
             two_j = 2.0 * np.arange(n, dtype=np.float64)
             head = [
                 log_prefactor + math.fsum(np.log(two_j + (k * k + k))) - decay * k
                 for k in (1, 2, 3)
             ]
-        k = np.arange(4, k_hi + 1, dtype=np.float64)
-        log_terms = _log_gamma_ratio((k * k + k) * 0.5, n)
-        log_terms += log_scale
+            chunks.append(np.array(head))
+            peak = max(head)
+        k = np.arange(k_lo, k_hi + 1, dtype=np.float64)
+        chunk = _log_gamma_ratio((k * k + k) * 0.5, n)
+        chunk += log_scale
         with np.errstate(over="ignore"):  # inf for s near the float max
-            log_terms -= decay * k
-        log_terms = np.concatenate((head, log_terms))
+            chunk -= decay * k
+        chunks.append(chunk)
+        k_lo = k_hi + 1
+        peak = max(peak, float(chunk.max()))
         # the truncation is sound only once the peak lies strictly inside
-        # the range and the last term has dropped below -40 nats
-        peak_idx = int(log_terms.argmax())
-        peak = float(log_terms[peak_idx])
-        if peak_idx < k_hi - 1 and log_terms[-1] < min(-40.0, peak - 40.0):
+        # the range and the last term has dropped below -40 nats; a last
+        # term 40 nats below the peak is not the peak
+        if chunk[-1] < min(-40.0, peak - 40.0):
             break
+    log_terms = np.concatenate(chunks)
     try:
         return math.exp(peak + math.log(float(np.exp(log_terms - peak).sum())))
     except OverflowError:

@@ -264,14 +264,15 @@ _MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 20)
 _STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 
 
+# _hash and _mix take numpy uint32 arrays, whose arithmetic wraps modulo
+# 2^32 as numpy's own 32-bit words do.
 def _hash(value, xor, mul):
-    # on Python ints or numpy uint32 arrays alike
-    value = (value ^ xor) * mul & _M32
+    value = (value ^ xor) * mul
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    value = 0xCA01F9DD * x - 0x4973F715 * y
     return value ^ value >> 16
 
 
@@ -281,24 +282,19 @@ def _stream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     Entry k - start is PCG64(SeedSequence(seed, spawn_key=(k,))).state,
     computed in one pass as numpy's SeedSequence documentation and
     O'Neill's PCG report (HMC-CS-2014-0905) define it.  The entropy is
-    the two 32-bit words of seed padded with zeros to the pool size 4,
-    then the word k, so only the last mixing round depends on k: it and
-    generate_state(4, uint64) run vectorised over k.
+    the words of seed padded with zeros to the pool size 4, then the word
+    k.  numpy hashes a missing seed word as it hashes that zero padding,
+    so the seed alone mixes into the pool of SeedSequence(seed), and only
+    the last mixing round depends on k: it and generate_state(4, uint64)
+    run vectorised over k, then PCG64's seeding per stream.
     """
     import numpy as np
+    from numpy.random import SeedSequence
 
-    h = _MIX_HASH
-    entropy = (seed & _M32, seed >> 32, 0, 0)
-    pool = [_hash(w, h[j], h[j + 1]) for j, w in enumerate(entropy)]
-    j = 4
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], h[j], h[j + 1]))
-                j += 1
+    # hash calls 0 .. 15 mix the seed into the pool, 16 .. 19 the word k
     k = np.arange(start, stop, dtype=np.uint32)
     h = np.array(_MIX_HASH, dtype=np.uint32)[:, None]
-    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], _hash(k, h[16:20], h[17:21]))
+    pool = _mix(SeedSequence(seed).pool[:, None], _hash(k, h[16:20], h[17:21]))
     h = np.array(_STATE_HASH, dtype=np.uint32)[:, None]
     words = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], h[:8], h[1:]).astype(np.uint64)
     states = []

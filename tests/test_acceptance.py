@@ -203,7 +203,9 @@ def test_08_monte_carlo_normal_limit():
     )
 
 
-def test_09_deterministic_convergence():
+def test_09_deterministic_convergence(coeffs_1000):
+    # the fixture's build of the n = 1000 coefficients is in the cache, so
+    # the n = 1000 calls below and the later users of the fixture share it
     ks50, ks200, ks1000 = (exact_ks_distance(n) for n in (50, 200, 1000))
     ks_ok = ks50 > ks200 > ks1000 and ks200 <= 0.05
 

@@ -283,6 +283,17 @@ class TestMgf:
         assert entries[0]["mgf_value"] == entries[1]["mgf_value"]
         assert entries[2]["mgf_value"] == entries[3]["mgf_value"]
 
+    def test_errors_at_the_float_floor(self, capsys):
+        # every abs_error rounds to 0.0, so no decrease in n can show
+        code, out, err = run(capsys, "mgf", "--n", "10,100,400", "--s", "1e-9")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: abs_error is 0.0 at both n=10 and n=100 for s=1e-09,"
+            " below float resolution\n"
+        )
+        # one n compares nothing
+        assert run(capsys, "mgf", "--n", "10", "--s", "1e-9")[0] == 0
+
 
 class TestLemma41:
     def test_convergence(self, capsys):
@@ -309,6 +320,17 @@ class TestLemma41:
         assert err == (
             "error: exp overflow evaluating the series factor at n=345, s=1000.0\n"
         )
+
+    def test_factors_at_the_float_floor(self, capsys):
+        # both factors underflow to 0.0, so both gaps read exactly 1
+        code, out, err = run(capsys, "lemma41", "--n", "4,63", "--s", "1e300")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: the series factor is 0.0 at both n=4 and n=63 for s=1e+300,"
+            " below float resolution\n"
+        )
+        # one n compares nothing
+        assert run(capsys, "lemma41", "--n", "4", "--s", "1e300")[0] == 0
 
 
 class TestPlumbing:
@@ -377,12 +399,14 @@ BAD_INPUTS = [
     (["mgf", "--n", "10,10"], 2),
     (["mgf", "--n", "10", "--s", "1,1"], 2),
     (["mgf", "--n", "10,100", "--s", "0"], 2),
+    (["mgf", "--n", "10,100,400", "--s", "1e-9"], 2),  # abs_errors all 0.0
     (["lemma41", "--n", "400,100,25"], 2),
     (["lemma41", "--n", "25", "--s", "nan"], 2),
     (["lemma41", "--n", "25", "--s", "inf"], 2),
     (["lemma41", "--n", "25", "--s", "-1"], 2),
     (["lemma41", "--n", "25", "--k-max", "8"], 2),
     (["lemma41", "--n", "2000,5000", "--s", "1e4"], 2),  # exp overflows
+    (["lemma41", "--n", "4,63", "--s", "1e300"], 2),  # factors underflow to 0.0
     (["stats", "--n", "0"], 2),
     (["poly", "--n", "2", "--frobnicate"], 2),
     (["conjugate", "--matching", "1-1"], 2),

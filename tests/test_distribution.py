@@ -498,6 +498,24 @@ class TestSeriesFactor:
         mgf_series_factor(345, 1.0)
         assert built == [32768]
 
+    @pytest.mark.parametrize("n,s,k_final", [(3, 0.1, 2048), (100000, 1000.0, 65536)])
+    def test_built_passes_compute_each_term_once(self, monkeypatch, n, s, k_final):
+        # both cases build more than one pass: each pass computes only the
+        # terms past the last one built, so together the passes tile
+        # k = 4 .. k_final once
+        seen = []
+
+        def recorded(x, n):
+            seen.append(x.copy())
+            return log_gamma_ratio(x, n)
+
+        log_gamma_ratio = distribution._log_gamma_ratio
+        monkeypatch.setattr(distribution, "_log_gamma_ratio", recorded)
+        mgf_series_factor(n, s)
+        k = np.arange(4, k_final + 1, dtype=np.float64)
+        assert len(seen) > 1
+        assert np.array_equal(np.concatenate(seen), (k * k + k) * 0.5)
+
     def test_rejects_bad_s(self):
         with pytest.raises(ValueError):
             mgf_series_factor(10, 0.0)

@@ -318,7 +318,9 @@ class TestStreamStates:
         state = bits.state["state"]
         return state["state"], state["inc"]
 
-    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32, 2**63 + 12345, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 42, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
+    )
     def test_states_equal_numpy(self, seed):
         low = _stream_states(seed, 0, 2000)
         high = _stream_states(seed, 2**32 - 2, 2**32)
