@@ -13,15 +13,13 @@ walk swaps row and column in every step.
 
 The walks the bijection builds for itself are lists of plain moves,
 ((row, col), insertion) tuples, and ``conjugate_matching`` never leaves
-that form.  ``TraceStep`` and ``Box`` objects are built only for the
-walks a caller receives, ``OscillatingTableau.steps`` and
-``BijectionTrace.steps``, once per walk.
-
-A walk built from its steps (the forward map and conjugation) is checked
-per step, in O(1) at the step's corner: each box must be an addable or
-removable corner of the shape before it, and the walk must end empty.
-That makes every shape a partition one box from the next, so its shapes
-are built unchecked.  ``OscillatingTableau(shapes)`` is the boundary
+that form.  A walk a caller receives (the forward map and conjugation)
+is built from its moves in one pass by ``OscillatingTableau._from_moves``,
+which checks each move in O(1) at its corner: each box must be an
+addable or removable corner of the shape before it, and the walk must
+end empty.  That makes every shape a partition one box from the next, so
+the same pass builds the shapes unchecked, with the ``TraceStep`` and
+``Box`` of each step.  ``OscillatingTableau(shapes)`` is the boundary
 check for a walk from outside, such as ``parse_oscillating``: it checks
 every shape and re-derives every step from consecutive shapes.
 
@@ -35,9 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import accumulate
 from typing import NamedTuple
 
-from .matchings import Matching, from_pairs
+from .matchings import BudgetError, Matching, from_pairs
 from .tableaux import (
     Box,
     Partition,
@@ -51,6 +50,7 @@ from .tableaux import (
 )
 
 __all__ = [
+    "TRACE_BUDGET",
     "OscillatingTableau",
     "BijectionTrace",
     "TraceStep",
@@ -63,6 +63,13 @@ __all__ = [
     "classify_position",
     "parse_oscillating",
 ]
+
+
+#: Largest number of cells, summed over its 2n+1 tableaux, that a trace
+#: builds; a trace of 2n steps has at most n^2.  The slowest trace within
+#: it, a single column, takes about 6 s and 370 MB through
+#: ``tableau --matching`` on one core of a 2-vCPU VM.
+TRACE_BUDGET = 2**21
 
 
 class TraceStep(NamedTuple):
@@ -108,14 +115,50 @@ class OscillatingTableau:
         object.__setattr__(self, "steps", tuple(steps))
 
     @classmethod
-    def _trusted(
-        cls, shapes: tuple[Partition, ...], steps: tuple[TraceStep, ...]
-    ) -> OscillatingTableau:
-        # Only for shapes ``_shapes`` has just built from these steps,
-        # checking each one at its corner: skips re-deriving the steps.
+    def _from_moves(cls, moves) -> OscillatingTableau:
+        """The walk of the given moves from the empty shape, each checked at its corner.
+
+        An insertion must add a box at an addable corner and a removal take
+        one from a removable corner, and the walk must end empty.  By
+        induction every shape is then a partition that differs from the one
+        before by exactly the move's box, which is all ``__post_init__``
+        would re-derive from the shapes, so they are built unchecked.
+        """
+        trusted = Partition._trusted
+        lengths: list[int] = []
+        shapes = [Partition()]
+        steps = []
+        for idx, ((row, col), insertion) in enumerate(moves, start=1):
+            r = row - 1
+            if insertion:
+                if r == len(lengths) and col == 1:
+                    lengths.append(1)
+                elif (
+                    0 <= r < len(lengths)
+                    and col == lengths[r] + 1
+                    and (not r or lengths[r - 1] >= col)
+                ):
+                    lengths[r] = col
+                else:
+                    raise ValueError(f"shapes {idx - 1} and {idx} do not differ by one box")
+            elif (
+                0 <= r < len(lengths)
+                and col == lengths[r]
+                and (r + 1 == len(lengths) or lengths[r + 1] < col)
+            ):
+                if col == 1:
+                    lengths.pop()
+                else:
+                    lengths[r] = col - 1
+            else:
+                raise ValueError(f"shapes {idx - 1} and {idx} do not differ by one box")
+            shapes.append(trusted(tuple(lengths)))
+            steps.append(TraceStep(Box(row, col), insertion))
+        if lengths:
+            raise ValueError("the walk must start and end at the empty shape")
         t = object.__new__(cls)
-        object.__setattr__(t, "shapes", shapes)
-        object.__setattr__(t, "steps", steps)
+        object.__setattr__(t, "shapes", tuple(shapes))
+        object.__setattr__(t, "steps", tuple(steps))
         return t
 
     @property
@@ -144,7 +187,8 @@ class BijectionTrace:
     tableaux are built on first access, by running the forward map's
     in-place insertions and slides again on one working tableau and
     freezing a validated ``Tableau`` after every step, so only a caller
-    that reads them pays for them.
+    that reads them pays for them.  Their cells are counted first, from
+    the matching alone, and BudgetError is raised above TRACE_BUDGET.
     """
 
     def __init__(self, matching: Matching, steps: tuple[TraceStep, ...]) -> None:
@@ -157,9 +201,13 @@ class BijectionTrace:
     @property
     def tableaux(self) -> tuple[Tableau, ...]:
         if self._tableaux is None:
+            partner = self._matching.partner
+            cells = sum(accumulate(1 if i < j else -1 for i, j in enumerate(partner, 1)))
+            if cells > TRACE_BUDGET:
+                raise BudgetError("trace cells", cells, TRACE_BUDGET)
             rows: list[list[int]] = []
             tableaux = [Tableau()]
-            for i, j in enumerate(self._matching.partner, start=1):
+            for i, j in enumerate(partner, start=1):
                 if i < j:
                     _insert(rows, j)
                 else:
@@ -213,58 +261,10 @@ def _transpose(steps) -> list[Move]:
     return [((col, row), insertion) for (row, col), insertion in steps]
 
 
-def _trace_steps(moves) -> tuple[TraceStep, ...]:
-    """The public form of a walk's moves."""
-    return tuple([TraceStep(Box(r, c), insertion) for (r, c), insertion in moves])
-
-
-def _shapes(steps) -> tuple[Partition, ...]:
-    """The shapes of a walk from the empty shape, each step checked at its corner.
-
-    An insertion must add a box at an addable corner and a removal take
-    one from a removable corner, and the walk must end empty.  By
-    induction every shape is then a partition that differs from the one
-    before by exactly the step's box, which is all ``OscillatingTableau``
-    would re-derive from the shapes, so they are built unchecked.
-    """
-    trusted = Partition._trusted
-    lengths: list[int] = []
-    shapes = [Partition()]
-    for idx, ((row, col), insertion) in enumerate(steps, start=1):
-        r = row - 1
-        if insertion:
-            if r == len(lengths) and col == 1:
-                lengths.append(1)
-            elif (
-                0 <= r < len(lengths)
-                and col == lengths[r] + 1
-                and (not r or lengths[r - 1] >= col)
-            ):
-                lengths[r] = col
-            else:
-                raise ValueError(f"shapes {idx - 1} and {idx} do not differ by one box")
-        elif (
-            0 <= r < len(lengths)
-            and col == lengths[r]
-            and (r + 1 == len(lengths) or lengths[r + 1] < col)
-        ):
-            if col == 1:
-                lengths.pop()
-            else:
-                lengths[r] = col - 1
-        else:
-            raise ValueError(f"shapes {idx - 1} and {idx} do not differ by one box")
-        shapes.append(trusted(tuple(lengths)))
-    if lengths:
-        raise ValueError("the walk must start and end at the empty shape")
-    return tuple(shapes)
-
-
 def matching_to_oscillating(m: Matching) -> tuple[OscillatingTableau, BijectionTrace]:
     """Map a matching to its shape walk, keeping the full trace."""
-    moves = _walk(m)
-    steps = _trace_steps(moves)
-    return OscillatingTableau._trusted(_shapes(moves), steps), BijectionTrace(m, steps)
+    walk = OscillatingTableau._from_moves(_walk(m))
+    return walk, BijectionTrace(m, walk.steps)
 
 
 def oscillating_to_matching(t: OscillatingTableau) -> Matching:
@@ -274,8 +274,7 @@ def oscillating_to_matching(t: OscillatingTableau) -> Matching:
 
 def conjugate_oscillating(t: OscillatingTableau) -> OscillatingTableau:
     """Conjugate every shape of the walk; involutive."""
-    moves = _transpose(t.steps)
-    return OscillatingTableau._trusted(_shapes(moves), _trace_steps(moves))
+    return OscillatingTableau._from_moves(_transpose(t.steps))
 
 
 def conjugate_matching(m: Matching) -> Matching:

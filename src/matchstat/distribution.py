@@ -49,6 +49,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .matchings import (
+    ENUMERATION_BUDGET,
     BudgetError,
     _check_draws,
     _partners,
@@ -78,9 +79,6 @@ __all__ = [
     "clt_experiment",
     "exact_ks_distance",
 ]
-
-#: Largest n for which exhaustive enumeration is considered affordable.
-ENUMERATION_BUDGET = 6
 
 #: Largest n for which exact coefficients are computed on demand.
 COEFFICIENT_BUDGET = 1000

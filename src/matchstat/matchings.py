@@ -20,6 +20,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
+    "ENUMERATION_BUDGET",
     "SAMPLE_BUDGET",
     "DRAW_BUDGET",
     "BudgetError",
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 _UINT64_MAX = 2**64 - 1
+
+#: Largest n for which exhaustive enumeration is considered affordable.
+ENUMERATION_BUDGET = 6
 
 #: Largest n for which a matching of 2n letters is drawn at random; one
 #: draw at this n holds about 100 MB.
@@ -485,8 +489,13 @@ def brute_force_moments(n: int) -> MomentReport:
     """The same report computed by exhaustive enumeration (the oracle).
 
     Joint probabilities are averaged over all valid position pairs of
-    each kind; cost grows as (2n-1)!!, so keep n small (n <= 6 or so).
+    each kind; cost grows as (2n-1)!!, so n above ENUMERATION_BUDGET
+    raises BudgetError before the first matching.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > ENUMERATION_BUDGET:
+        raise BudgetError("n", n, ENUMERATION_BUDGET)
     count = 0
     sum_d = sum_d2 = sum_maj = sum_maj2 = 0
     descent_hits = adjacent_hits = nonadjacent_hits = 0

@@ -3,12 +3,15 @@
 import hashlib
 from bisect import bisect_left
 from itertools import combinations
+from random import Random
 
 import pytest
 
 from matchstat import (
     DESCENT_CASES,
+    TRACE_BUDGET,
     BijectionTrace,
+    BudgetError,
     Box,
     Matching,
     OscillatingTableau,
@@ -29,7 +32,6 @@ from matchstat import (
     row_insert,
     sample_uniform,
 )
-from matchstat.bijection import _shapes
 
 from growth_oracle import growth_corners, transpose
 
@@ -209,13 +211,17 @@ class TestStepBuiltWalk:
     )
     def test_corner_check_rejects(self, moves, message):
         with pytest.raises(ValueError, match=message):
-            _shapes(self.steps(*moves))
+            OscillatingTableau._from_moves(self.steps(*moves))
 
     def test_corner_check_accepts(self):
-        shapes = _shapes(self.steps((1, 1, True), (1, 2, True), (2, 1, True),
-                                    (1, 2, False), (2, 1, False), (1, 1, False)))
+        walk = OscillatingTableau._from_moves(
+            self.steps((1, 1, True), (1, 2, True), (2, 1, True),
+                       (1, 2, False), (2, 1, False), (1, 1, False))
+        )
+        shapes = walk.shapes
         assert [p.parts for p in shapes] == [(), (1,), (2,), (2, 1), (1, 1), (1,), ()]
         assert all(Partition(p.parts) == p for p in shapes)
+        assert walk.steps == OscillatingTableau(shapes).steps
 
 
 class TestConjugation:
@@ -497,3 +503,35 @@ class TestLazyTrace:
         assert direct.tableaux == trace.tableaux
         with pytest.raises(ValueError, match="one step per letter"):
             BijectionTrace(SIGMA, osc.steps[:-1])
+
+
+class TestTraceBudget:
+    """The trace counts its cells from the matching and refuses a trace
+    of more than TRACE_BUDGET before it builds a tableau."""
+
+    def test_budget_is_the_sum_of_the_tableau_sizes(self, monkeypatch):
+        def no_tableau(*args, **kwargs):
+            raise AssertionError("a tableau was built")
+
+        for k in range(5):
+            m = sample_uniform(30, 8, stream=k)
+            cells = sum(t.shape.size for t in matching_to_oscillating(m)[1].tableaux)
+            with monkeypatch.context() as patch:
+                patch.setattr("matchstat.bijection.TRACE_BUDGET", cells)
+                assert len(matching_to_oscillating(m)[1].tableaux) == 61
+                patch.setattr("matchstat.bijection.TRACE_BUDGET", cells - 1)
+                patch.setattr("matchstat.bijection.Tableau", no_tableau)
+                _, trace = matching_to_oscillating(m)
+                with pytest.raises(BudgetError, match=f"^trace cells={cells} exceeds"):
+                    trace.tableaux
+
+    def test_every_opener_first_past_the_budget(self):
+        # n openers before their n closers: n^2 cells, the most 2n steps reach
+        n = 1449
+        assert (n - 1) ** 2 <= TRACE_BUDGET < n**2
+        closers = Random(0).sample(range(n + 1, 2 * n + 1), n)
+        _, trace = matching_to_oscillating(from_pairs(enumerate(closers, start=1)))
+        with pytest.raises(
+            BudgetError, match=f"^trace cells={n * n} exceeds the budget trace cells <= "
+        ):
+            trace.tableaux

@@ -2,6 +2,7 @@
 
 import json
 import re
+from random import Random
 
 import pytest
 
@@ -388,6 +389,12 @@ def test_every_command_renders_every_format(capsys, argv, header, fmt):
         assert code == (1 if "FAIL" in verdicts else 0)
 
 
+#: 1449 openers, then their closers in shuffled order: 1449^2 trace cells,
+#: just past the trace budget, while each step stays short.
+WIDE_TRACE = ",".join(
+    f"{i}-{j}" for i, j in enumerate(Random(0).sample(range(1450, 2899), 1449), start=1)
+)
+
 # Inputs that must end in a usage error (2) or a budget error (3), never a traceback.
 BAD_INPUTS = [
     (["mgf", "--n", "10", "--s", "1e6"], 2),  # exp overflows
@@ -423,11 +430,14 @@ BAD_INPUTS = [
     (["clt", "--n", "512", "--samples", "262145"], 3),
     (["tableau", "--random", "1000000000", "--n", "1"], 3),
     (["tableau", "--random", "1", "--n", "40000"], 3),
+    (["tableau", "--matching", WIDE_TRACE], 3),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,expected", BAD_INPUTS, ids=[" ".join(a) or "(none)" for a, _ in BAD_INPUTS]
+    "argv,expected",
+    BAD_INPUTS,
+    ids=[" ".join(a).replace(WIDE_TRACE, "WIDE_TRACE") or "(none)" for a, _ in BAD_INPUTS],
 )
 def test_bad_input_exit_code(capsys, argv, expected):
     code, out, err = run(capsys, *argv)

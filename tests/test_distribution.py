@@ -17,6 +17,7 @@ import pytest
 from matchstat import (
     BudgetError,
     DescentPolynomial,
+    brute_force_moments,
     closed_form_moments,
     clt_experiment,
     descent_stats,
@@ -724,3 +725,24 @@ class TestResolveWorkers:
         monkeypatch.setenv("MATCHSTAT_THREADS", value)
         with pytest.raises(ValueError, match="MATCHSTAT_THREADS"):
             _resolve_workers(None)
+
+
+#: Every entry point that takes a matching size n, called at that n.
+SIZED_ENTRY_POINTS = {
+    "polynomial_by_enumeration": polynomial_by_enumeration,
+    "polynomial_by_gf": polynomial_by_gf,
+    "exact_distribution": exact_distribution,
+    "mgf_Wn": lambda n: mgf_Wn(n, 1.0),
+    "mgf_series_factor": lambda n: mgf_series_factor(n, 1.0),
+    "exact_ks_distance": exact_ks_distance,
+    "sample_uniform": lambda n: sample_uniform(n, 1),
+    "closed_form_moments": closed_form_moments,
+    "brute_force_moments": brute_force_moments,
+}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("entry", SIZED_ENTRY_POINTS)
+def test_refuses_n_below_one(entry, n):
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        SIZED_ENTRY_POINTS[entry](n)

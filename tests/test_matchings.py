@@ -399,3 +399,11 @@ class TestBruteForceMoments:
         verdicts = compare_reports(closed_form_moments(3), brute_force_moments(3))
         assert verdicts["p_joint_adjacent"] is True
         assert verdicts["var_d"] is None  # closed form not established yet
+
+    def test_budget_refused_before_enumeration(self, monkeypatch):
+        def no_enumeration(n):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr("matchstat.matchings.enumerate_matchings", no_enumeration)
+        with pytest.raises(BudgetError, match="^n=7 exceeds the budget n <= 6$"):
+            brute_force_moments(7)

@@ -274,6 +274,11 @@ class TestLocalChecks:
         with pytest.raises(ValueError, match="rows must be weakly increasing"):
             _unbump(rows, Box(2, 1))
 
+    def test_slide_row_length_left_of_the_hole(self):
+        rows = [[1, 2], [3, 4, 5, 6, 7]]  # the hole runs right in row 2 past row 1
+        with pytest.raises(ValueError, match="row lengths must be weakly decreasing"):
+            _slide(rows)
+
     def test_slide_left_pair(self):
         rows = [[1, 2, 9], [11, 7, 10]]  # the 10 moves left to (2,2), right of the 11
         with pytest.raises(ValueError, match="rows must be weakly increasing"):
@@ -376,9 +381,20 @@ class TestCornerForms:
             assert smaller.rows == tuple(map(tuple, after))
 
 
+@pytest.fixture(scope="module")
+def swept_rows():
+    return list(working_tableaux(99, 4000))
+
+
+def cells(rows):
+    """Every cell of the shape's bounding box and one row and column past it."""
+    width = max(map(len, rows), default=0)
+    return [(r, c) for r in range(1, len(rows) + 2) for c in range(1, width + 2)]
+
+
 class TestCorruptedRows:
-    """_unslide raises ValueError, and nothing else, on working rows that
-    are not a tableau, wherever the corner is."""
+    """Each in-place operation returns or raises ValueError, and nothing
+    else, on working rows that are not a tableau, whatever its argument."""
 
     # the hole moves up into a row whose upper neighbour is shorter than
     # the hole's column: rows 3 and 4 of the first case have lengths 1, 2
@@ -399,15 +415,29 @@ class TestCorruptedRows:
         with pytest.raises(ValueError, match="row lengths must be weakly decreasing"):
             _unslide(rows, corner, 1)
 
-    def test_every_corner_returns_or_raises_value_error(self):
-        for rows in working_tableaux(99, 4000):
-            width = max(map(len, rows), default=0)
-            for r in range(1, len(rows) + 2):
-                for c in range(1, width + 2):
-                    _, result = outcome(_unslide, rows, (r, c), 1)
-                    assert result[0] == "returned" or result[1] is ValueError, (
-                        rows, (r, c), result
-                    )
+    @staticmethod
+    def assert_returns_or_raises_value_error(op, rows, *args):
+        _, result = outcome(op, rows, *args)
+        assert result[0] == "returned" or result[1] is ValueError, (rows, args, result)
+
+    def test_every_corner_returns_or_raises_value_error(self, swept_rows):
+        for rows in swept_rows:
+            for cell in cells(rows):
+                self.assert_returns_or_raises_value_error(_unslide, rows, cell, 1)
+
+    def test_insert_returns_or_raises_value_error(self, swept_rows):
+        for rows in swept_rows:
+            for x in range(1, 43):
+                self.assert_returns_or_raises_value_error(_insert, rows, x)
+
+    def test_slide_returns_or_raises_value_error(self, swept_rows):
+        for rows in swept_rows:
+            self.assert_returns_or_raises_value_error(_slide, rows)
+
+    def test_unbump_returns_or_raises_value_error(self, swept_rows):
+        for rows in swept_rows:
+            for cell in cells(rows):
+                self.assert_returns_or_raises_value_error(_unbump, rows, cell)
 
 
 def route_strictly_left(r1, r2):
