@@ -9,17 +9,18 @@ per step; it determines the matching uniquely.
 A walk is held by its 2n steps, the box each one adds or removes; the
 forward map and the inverse run them on one working tableau, changed in
 place.  Conjugating a shape transposes its diagram, so the conjugate
-walk swaps row and column in every step.
+walk swaps row and column in every step.  The forward map charges each
+move its work and refuses a walk past WALK_BUDGET.
 
 The walks the bijection builds for itself are lists of plain moves,
 ((row, col), insertion) tuples, and ``conjugate_matching`` never leaves
 that form.  A walk a caller receives (the forward map and conjugation)
-is built from its moves in one pass by ``OscillatingTableau._from_moves``,
-which checks each move in O(1) at its corner: each box must be an
-addable or removable corner of the shape before it, and the walk must
-end empty.  That makes every shape a partition one box from the next, so
-the same pass builds the shapes unchecked, with the ``TraceStep`` and
-``Box`` of each step.  ``OscillatingTableau(shapes)`` is the boundary
+is built from its moves by ``OscillatingTableau._from_moves``, which
+checks each move in O(1) at its corner: each box must be an addable or
+removable corner of the shape before it, and the walk must end empty.
+That makes every shape a partition one box from the next, so once every
+move has passed it builds the shapes unchecked, with the ``TraceStep``
+and ``Box`` of each step.  ``OscillatingTableau(shapes)`` is the boundary
 check for a walk from outside, such as ``parse_oscillating``: it checks
 every shape and re-derives every step from consecutive shapes.
 
@@ -36,11 +37,12 @@ from enum import IntEnum
 from itertools import accumulate
 from typing import NamedTuple
 
-from .matchings import BudgetError, Matching, from_pairs
+from .matchings import BudgetError, Matching, _unchecked, from_pairs
 from .tableaux import (
     Box,
     Partition,
     Tableau,
+    _freeze,
     _insert,
     _slide,
     _unbump,
@@ -51,6 +53,7 @@ from .tableaux import (
 
 __all__ = [
     "TRACE_BUDGET",
+    "WALK_BUDGET",
     "OscillatingTableau",
     "BijectionTrace",
     "TraceStep",
@@ -67,9 +70,19 @@ __all__ = [
 
 #: Largest number of cells, summed over its 2n+1 tableaux, that a trace
 #: builds; a trace of 2n steps has at most n^2.  The slowest trace within
-#: it, a single column, takes about 6 s and 370 MB through
+#: it, a single column, takes about 7 s and 370 MB through
 #: ``tableau --matching`` on one core of a 2-vCPU VM.
 TRACE_BUDGET = 2**21
+
+
+#: Largest cost of the forward map's walk, summed over its moves: the
+#: height of the working tableau after the move plus the box's column.
+#: That bounds the route of each insertion or slide and the parts that
+#: ``OscillatingTableau._from_moves`` copies for the shape.  A nested
+#: matching, pairs (i, 2n+1-i), costs n^2 + 2n, so n = 2895 is the
+#: largest admitted; it takes about 7 s and 120 MB through
+#: ``tableau --matching`` on one core of a 2-vCPU VM.
+WALK_BUDGET = 2**23
 
 
 class TraceStep(NamedTuple):
@@ -124,10 +137,8 @@ class OscillatingTableau:
         before by exactly the move's box, which is all ``__post_init__``
         would re-derive from the shapes, so they are built unchecked.
         """
-        trusted = Partition._trusted
         lengths: list[int] = []
-        shapes = [Partition()]
-        steps = []
+        parts = [()]
         for idx, ((row, col), insertion) in enumerate(moves, start=1):
             r = row - 1
             if insertion:
@@ -152,14 +163,14 @@ class OscillatingTableau:
                     lengths[r] = col - 1
             else:
                 raise ValueError(f"shapes {idx - 1} and {idx} do not differ by one box")
-            shapes.append(trusted(tuple(lengths)))
-            steps.append(TraceStep(Box(row, col), insertion))
+            parts.append(tuple(lengths))
         if lengths:
             raise ValueError("the walk must start and end at the empty shape")
-        t = object.__new__(cls)
-        object.__setattr__(t, "shapes", tuple(shapes))
-        object.__setattr__(t, "steps", tuple(steps))
-        return t
+        return _unchecked(
+            cls,
+            shapes=tuple([_unchecked(Partition, parts=p) for p in parts]),
+            steps=tuple([TraceStep(Box._make(box), insertion) for box, insertion in moves]),
+        )
 
     @property
     def n(self) -> int:
@@ -185,10 +196,10 @@ class BijectionTrace:
 
     A trace holds the matching and the 2n steps its forward map took; the
     tableaux are built on first access, by running the forward map's
-    in-place insertions and slides again on one working tableau and
-    freezing a validated ``Tableau`` after every step, so only a caller
-    that reads them pays for them.  Their cells are counted first, from
-    the matching alone, and BudgetError is raised above TRACE_BUDGET.
+    checked in-place insertions and slides again on one working tableau
+    and freezing it unchecked after every step, so only a caller that
+    reads them pays for them.  Their cells are counted first, from the
+    matching alone, and BudgetError is raised above TRACE_BUDGET.
     """
 
     def __init__(self, matching: Matching, steps: tuple[TraceStep, ...]) -> None:
@@ -206,31 +217,40 @@ class BijectionTrace:
             if cells > TRACE_BUDGET:
                 raise BudgetError("trace cells", cells, TRACE_BUDGET)
             rows: list[list[int]] = []
-            tableaux = [Tableau()]
+            tableaux = [_freeze(rows)]
             for i, j in enumerate(partner, start=1):
                 if i < j:
                     _insert(rows, j)
                 else:
                     _slide(rows)
-                tableaux.append(Tableau(tuple(map(tuple, rows))))
+                tableaux.append(_freeze(rows))
             self._tableaux = tuple(tableaux)
         return self._tableaux
 
 
 def _walk(m: Matching) -> list[Move]:
-    """The forward map's 2n moves, taken on one working tableau."""
+    """The forward map's 2n moves, taken on one working tableau.
+
+    Raises BudgetError as soon as the moves cost more than WALK_BUDGET.
+    """
     rows: list[list[int]] = []
     moves = []
+    cost = 0
     for i, j in enumerate(m.partner, start=1):
         if i < j:
             cols = _insert(rows, j)
-            moves.append(((len(cols), cols[-1] + 1), True))
+            box = (len(cols), cols[-1] + 1)
+            moves.append((box, True))
         else:
             if not rows or rows[0][0] != i:
                 raise RuntimeError(
                     f"defect: {i} is not the minimum of the working tableau"
                 )
-            moves.append((_slide(rows), False))
+            box = _slide(rows)
+            moves.append((box, False))
+        cost += len(rows) + box[1]
+        if cost > WALK_BUDGET:
+            raise BudgetError("walk cost", cost, WALK_BUDGET)
     return moves
 
 

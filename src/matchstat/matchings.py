@@ -66,6 +66,17 @@ class BudgetError(RuntimeError):
         self.limit = limit
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` built without its check.
+
+    Only for a value this package has just built from parts it checked;
+    a value from outside goes through ``cls(...)`` and its full check.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def double_factorial(m: int) -> int:
     """Product m * (m-2) * ... * 1 for odd m, with (-1)!! = 1.
 
@@ -106,14 +117,6 @@ class Matching:
         for i, j in enumerate(p, start=1):
             if p[j - 1] != i:
                 raise ValueError(f"elements {i} and {j} do not pair up")
-
-    @classmethod
-    def _trusted(cls, partner: tuple[int, ...]) -> Matching:
-        # Only for a partner tuple this package has just built as a
-        # fixed-point-free involution: skips the O(n) pure-Python check.
-        m = object.__new__(cls)
-        object.__setattr__(m, "partner", partner)
-        return m
 
     @property
     def n(self) -> int:
@@ -157,7 +160,7 @@ def from_pairs(pairs: Iterable[tuple[int, int]]) -> Matching:
         partner[b - 1] = a
     # n blocks of distinct in-range letters cover all 2n letters once, so
     # partner is already a fixed-point-free involution
-    return Matching._trusted(tuple(partner))
+    return _unchecked(Matching, partner=tuple(partner))
 
 
 def parse_matching(text: str) -> Matching:
@@ -210,7 +213,7 @@ def enumerate_matchings(n: int) -> Iterator[Matching]:
 
     def fill(unmatched: tuple[int, ...]) -> Iterator[Matching]:
         if not unmatched:
-            yield Matching._trusted(tuple(partner))
+            yield _unchecked(Matching, partner=tuple(partner))
             return
         a = unmatched[0]
         rest = unmatched[1:]
@@ -370,7 +373,7 @@ def _matchings(n: int, seed: int, start: int, stop: int) -> Iterator[Matching]:
     # Draw k - start is the matching sample_uniform(n, seed, k) returns;
     # the caller has passed the request through _check_draws.
     for partner in _partners(n, seed, start, stop):
-        yield Matching._trusted(tuple((partner + 1).tolist()))
+        yield _unchecked(Matching, partner=tuple((partner + 1).tolist()))
 
 
 def sample_uniform(n: int, seed: int, stream: int = 0) -> Matching:

@@ -25,13 +25,13 @@ slides' branch test compares.  The comparisons run in the order of a
 check of each written cell in turn (left, right, row length, above,
 below), so the first one to fail, and its message, is the one that
 check would find.  The public functions copy an immutable ``Tableau``,
-apply the in-place operation and freeze the result, and every
-constructed ``Tableau`` re-checks all of its invariants.
+apply the in-place operation and freeze the result unchecked
+(``_freeze``): the operation's own checks have kept it valid.
 
-Every ``Partition`` checks its parts, except the shapes of a walk the
-bijection builds from its steps: it checks each step at its corner and
-builds them with ``Partition._trusted``.  ``OscillatingTableau(shapes)``
-stays the full check for walks from outside.
+``Tableau(rows)`` and ``Partition(parts)`` check every invariant of a
+value from outside.  A value built here from parts just checked (a
+frozen result, a tableau's shape, a conjugate partition) is built with
+``matchings._unchecked`` and not checked again.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
+
+from .matchings import _unchecked
 
 __all__ = [
     "Box",
@@ -77,14 +79,6 @@ class Partition:
                 raise ValueError(f"parts must be weakly decreasing, got {self.parts}")
             prev = part
 
-    @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> Partition:
-        # Only for row lengths this package has just checked to be a
-        # partition: skips the pure-Python check of every part.
-        p = object.__new__(cls)
-        object.__setattr__(p, "parts", parts)
-        return p
-
     @property
     def size(self) -> int:
         return sum(self.parts)
@@ -116,7 +110,7 @@ def conjugate_partition(p: Partition) -> Partition:
     out = tuple(
         sum(1 for part in parts if part >= c) for c in range(1, parts[0] + 1)
     )
-    return Partition(out)
+    return _unchecked(Partition, parts=out)
 
 
 def added_box(before: Partition, after: Partition) -> Box:
@@ -156,7 +150,7 @@ class Tableau:
 
     @property
     def shape(self) -> Partition:
-        return Partition(tuple(len(row) for row in self.rows))
+        return _unchecked(Partition, parts=tuple(map(len, self.rows)))
 
     def __str__(self) -> str:
         """Debug rendering: one row per line, entries space-separated."""
@@ -181,7 +175,7 @@ class BumpingRoute:
 
 
 def _freeze(rows: list[list[int]]) -> Tableau:
-    return Tableau(tuple(tuple(row) for row in rows))
+    return _unchecked(Tableau, rows=tuple(map(tuple, rows)))
 
 
 def _thaw(t: Tableau) -> list[list[int]]:

@@ -10,6 +10,7 @@ import pytest
 from matchstat import (
     DESCENT_CASES,
     TRACE_BUDGET,
+    WALK_BUDGET,
     BijectionTrace,
     BudgetError,
     Box,
@@ -22,6 +23,7 @@ from matchstat import (
     classify_position,
     conjugate_matching,
     conjugate_oscillating,
+    conjugate_partition,
     delete_min_and_slide,
     descent_stats,
     enumerate_matchings,
@@ -492,6 +494,16 @@ class TestLazyTrace:
         for k in range(20):
             self.check(sample_uniform(100, 23, stream=k))
 
+    def test_shapes_pass_the_full_check(self):
+        # Tableau.shape and conjugate_partition build their partitions unchecked
+        for n in range(1, 6):
+            for m in enumerate_matchings(n):
+                for t in matching_to_oscillating(m)[1].tableaux:
+                    shape = t.shape
+                    assert Partition(shape.parts) == shape
+                    conjugate = conjugate_partition(shape)
+                    assert Partition(conjugate.parts) == conjugate
+
     def test_built_once_on_first_access(self):
         _, trace = matching_to_oscillating(SIGMA)
         assert trace.tableaux is trace.tableaux
@@ -520,7 +532,7 @@ class TestTraceBudget:
                 patch.setattr("matchstat.bijection.TRACE_BUDGET", cells)
                 assert len(matching_to_oscillating(m)[1].tableaux) == 61
                 patch.setattr("matchstat.bijection.TRACE_BUDGET", cells - 1)
-                patch.setattr("matchstat.bijection.Tableau", no_tableau)
+                patch.setattr("matchstat.bijection._freeze", no_tableau)
                 _, trace = matching_to_oscillating(m)
                 with pytest.raises(BudgetError, match=f"^trace cells={cells} exceeds"):
                     trace.tableaux
@@ -535,3 +547,39 @@ class TestTraceBudget:
             BudgetError, match=f"^trace cells={n * n} exceeds the budget trace cells <= "
         ):
             trace.tableaux
+
+
+class TestWalkBudget:
+    """The forward map charges each move the working tableau's height after
+    it plus the box's column, and refuses a walk that costs more than
+    WALK_BUDGET."""
+
+    @staticmethod
+    def cost(m):
+        osc, _ = matching_to_oscillating(m)
+        return sum(
+            len(shape.parts) + step.box.col for shape, step in zip(osc.shapes[1:], osc.steps)
+        )
+
+    def test_budget_is_the_sum_of_the_move_costs(self, monkeypatch):
+        nested = from_pairs((i, 41 - i) for i in range(1, 21))
+        assert self.cost(nested) == 20**2 + 2 * 20
+        for m in [nested] + [sample_uniform(30, 8, stream=k) for k in range(5)]:
+            cost, conjugate = self.cost(m), conjugate_matching(m)
+            with monkeypatch.context() as patch:
+                patch.setattr("matchstat.bijection.WALK_BUDGET", cost)
+                osc, _ = matching_to_oscillating(m)
+                assert oscillating_to_matching(osc) == m
+                assert conjugate_matching(m) == conjugate
+                patch.setattr("matchstat.bijection.WALK_BUDGET", cost - 1)
+                for forward in (matching_to_oscillating, conjugate_matching):
+                    with pytest.raises(
+                        BudgetError,
+                        match=f"^walk cost={cost} exceeds the budget walk cost <= {cost - 1}$",
+                    ):
+                        forward(m)
+
+    def test_largest_nested_matching_admitted(self):
+        # pairs (i, 2n+1-i) cost n^2 + 2n; tests/test_cli.py refuses n = 2896
+        n = 2895
+        assert n**2 + 2 * n <= WALK_BUDGET < (n + 1) ** 2 + 2 * (n + 1)

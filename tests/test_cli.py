@@ -395,6 +395,10 @@ WIDE_TRACE = ",".join(
     f"{i}-{j}" for i, j in enumerate(Random(0).sample(range(1450, 2899), 1449), start=1)
 )
 
+#: Pairs (i, 2n+1-i) at n = 2896: a walk down one column of n rows and
+#: back, costing n^2 + 2n, the first nested matching past the walk budget.
+NESTED_WALK = ",".join(f"{i}-{2 * 2896 + 1 - i}" for i in range(1, 2897))
+
 # Inputs that must end in a usage error (2) or a budget error (3), never a traceback.
 BAD_INPUTS = [
     (["mgf", "--n", "10", "--s", "1e6"], 2),  # exp overflows
@@ -431,13 +435,18 @@ BAD_INPUTS = [
     (["tableau", "--random", "1000000000", "--n", "1"], 3),
     (["tableau", "--random", "1", "--n", "40000"], 3),
     (["tableau", "--matching", WIDE_TRACE], 3),
+    (["conjugate", "--matching", NESTED_WALK], 3),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,expected",
     BAD_INPUTS,
-    ids=[" ".join(a).replace(WIDE_TRACE, "WIDE_TRACE") or "(none)" for a, _ in BAD_INPUTS],
+    ids=[
+        " ".join(a).replace(WIDE_TRACE, "WIDE_TRACE").replace(NESTED_WALK, "NESTED_WALK")
+        or "(none)"
+        for a, _ in BAD_INPUTS
+    ],
 )
 def test_bad_input_exit_code(capsys, argv, expected):
     code, out, err = run(capsys, *argv)

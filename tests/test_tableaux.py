@@ -112,7 +112,8 @@ class TestRowInsert:
         tab = Tableau()
         for v in values:
             new_tab, route = row_insert(tab, v)
-            # the Tableau constructor re-validates the invariants
+            # the result is frozen unchecked: the full check must accept it
+            assert Tableau(new_tab.rows) == new_tab
             assert new_tab.shape.size == tab.shape.size + 1
             grew = [
                 r
@@ -151,6 +152,8 @@ class TestReverseRowInsert:
         before = build_by_insertion(values[:-1])
         after, route = row_insert(before, values[-1])
         undone, ejected = reverse_row_insert(after, route.new_box)
+        assert Tableau(after.rows) == after
+        assert Tableau(undone.rows) == undone
         assert undone == before
         assert ejected == values[-1]
 
@@ -220,6 +223,8 @@ class TestReverseSlide:
         tab = build_by_insertion(sorted(entries, key=lambda v: hash((v, 13))))
         smaller, vacated = delete_min_and_slide(tab)
         restored = reverse_slide_and_place_min(smaller, vacated, min(entries))
+        assert Tableau(smaller.rows) == smaller
+        assert Tableau(restored.rows) == restored
         assert restored == tab
 
 
