@@ -14,15 +14,16 @@ move its work and refuses a walk past WALK_BUDGET.
 
 The walks the bijection builds for itself are lists of plain moves,
 ((row, col), insertion) tuples, and ``conjugate_matching`` never leaves
-that form.  A walk a caller receives (the forward map and conjugation)
-is built from its moves by ``OscillatingTableau._from_moves``, which
-checks each move in O(1) at its corner: each box must be an addable or
-removable corner of the shape before it, and the walk must end empty.
-That makes every shape a partition one box from the next, so once every
-move has passed it builds the shapes unchecked, with the ``TraceStep``
-and ``Box`` of each step.  ``OscillatingTableau(shapes)`` is the boundary
-check for a walk from outside, such as ``parse_oscillating``: it checks
-every shape and re-derives every step from consecutive shapes.
+that form.  Each walk is checked once.  A walk from outside, such as
+``parse_oscillating``'s, is checked by ``OscillatingTableau(shapes)``: it
+checks every shape and re-derives every step from consecutive shapes.  A
+walk the package runs is checked by the in-place operations, which put
+each box at a corner of the shape before it.  So
+``OscillatingTableau._from_moves`` builds a walk a caller receives (the
+forward map and conjugation) from its moves unchecked, and the inverse
+map builds its matching unchecked.  Conjugation copies the first part of
+every shape as the conjugate's heights; it refuses a walk whose
+conjugate shapes would hold more than WALK_BUDGET parts.
 
 Conjugating every shape of the walk is an involution on matchings.  Under
 it the descent number reflects about n + 1 and the major index about n^2,
@@ -37,7 +38,7 @@ from enum import IntEnum
 from itertools import accumulate
 from typing import NamedTuple
 
-from .matchings import BudgetError, Matching, _unchecked, from_pairs
+from .matchings import BudgetError, Matching, _unchecked
 from .tableaux import (
     Box,
     Partition,
@@ -78,10 +79,11 @@ TRACE_BUDGET = 2**21
 #: Largest cost of the forward map's walk, summed over its moves: the
 #: height of the working tableau after the move plus the box's column.
 #: That bounds the route of each insertion or slide and the parts that
-#: ``OscillatingTableau._from_moves`` copies for the shape.  A nested
+#: ``OscillatingTableau._from_moves`` copies for the shape; conjugation
+#: refuses a walk whose conjugate shapes hold more parts.  A nested
 #: matching, pairs (i, 2n+1-i), costs n^2 + 2n, so n = 2895 is the
-#: largest admitted; it takes about 7 s and 120 MB through
-#: ``tableau --matching`` on one core of a 2-vCPU VM.
+#: largest admitted; ``tableau --matching`` refuses its trace after about
+#: 2 s and 85 MB on one core of a 2-vCPU VM.
 WALK_BUDGET = 2**23
 
 
@@ -129,43 +131,28 @@ class OscillatingTableau:
 
     @classmethod
     def _from_moves(cls, moves) -> OscillatingTableau:
-        """The walk of the given moves from the empty shape, each checked at its corner.
+        """The walk of the given moves from the empty shape, built unchecked.
 
-        An insertion must add a box at an addable corner and a removal take
-        one from a removable corner, and the walk must end empty.  By
-        induction every shape is then a partition that differs from the one
-        before by exactly the move's box, which is all ``__post_init__``
-        would re-derive from the shapes, so they are built unchecked.
+        Every move the package passes here is a box at a corner of the
+        shape before it, and the moves end at the empty shape: an insertion
+        or slide of the forward map proved that in place, and reflecting a
+        checked walk keeps it.  So each shape is a partition one box from
+        the last, all that ``__post_init__`` would derive, and nothing is
+        checked again.
         """
         lengths: list[int] = []
         parts = [()]
-        for idx, ((row, col), insertion) in enumerate(moves, start=1):
-            r = row - 1
+        for (row, col), insertion in moves:
             if insertion:
-                if r == len(lengths) and col == 1:
-                    lengths.append(1)
-                elif (
-                    0 <= r < len(lengths)
-                    and col == lengths[r] + 1
-                    and (not r or lengths[r - 1] >= col)
-                ):
-                    lengths[r] = col
-                else:
-                    raise ValueError(f"shapes {idx - 1} and {idx} do not differ by one box")
-            elif (
-                0 <= r < len(lengths)
-                and col == lengths[r]
-                and (r + 1 == len(lengths) or lengths[r + 1] < col)
-            ):
                 if col == 1:
-                    lengths.pop()
+                    lengths.append(1)
                 else:
-                    lengths[r] = col - 1
+                    lengths[row - 1] = col
+            elif col == 1:
+                lengths.pop()
             else:
-                raise ValueError(f"shapes {idx - 1} and {idx} do not differ by one box")
+                lengths[row - 1] = col - 1
             parts.append(tuple(lengths))
-        if lengths:
-            raise ValueError("the walk must start and end at the empty shape")
         return _unchecked(
             cls,
             shapes=tuple([_unchecked(Partition, parts=p) for p in parts]),
@@ -261,19 +248,22 @@ def _unwalk(steps) -> Matching:
     reverse insertion (the ejected value is the partner of the step
     index), a removed box by a reverse slide that puts the step index
     back at (1,1).  Each box must be a removable or addable corner of
-    the working tableau's shape.
+    the working tableau's shape.  Every ejected value is a later step
+    index, written once, so the pairs tile 1..2n exactly when the
+    tableau ends empty.
     """
     rows: list[list[int]] = []
-    pairs = []
+    partner = [0] * len(steps)
     for i in range(len(steps), 0, -1):
         box, insertion = steps[i - 1]
         if insertion:
-            pairs.append((i, _unbump(rows, box)))
+            j = _unbump(rows, box)
+            partner[i - 1], partner[j - 1] = j, i
         else:
             _unslide(rows, box, i)
     if rows:
         raise RuntimeError("defect: walk inversion left a nonempty tableau")
-    return from_pairs(pairs)
+    return _unchecked(Matching, partner=tuple(partner))
 
 
 def _transpose(steps) -> list[Move]:
@@ -293,7 +283,14 @@ def oscillating_to_matching(t: OscillatingTableau) -> Matching:
 
 
 def conjugate_oscillating(t: OscillatingTableau) -> OscillatingTableau:
-    """Conjugate every shape of the walk; involutive."""
+    """Conjugate every shape of the walk; involutive.
+
+    Raises BudgetError, before any shape is built, when the conjugate
+    shapes would hold more than WALK_BUDGET parts in all.
+    """
+    count = sum(p.parts[0] for p in t.shapes if p.parts)
+    if count > WALK_BUDGET:
+        raise BudgetError("conjugate parts", count, WALK_BUDGET)
     return OscillatingTableau._from_moves(_transpose(t.steps))
 
 

@@ -241,11 +241,12 @@ def cmd_tableau(args) -> Report:
 
     m = parse_matching(args.matching)
     osc, trace = matching_to_oscillating(m)
+    tableaux = trace.tableaux  # first: it enforces the trace budget
     round_trip = oscillating_to_matching(osc) == m
     payload = {
         "matching": str(m),
         "shapes": str(osc),
-        "tableaux": [list(map(list, t.rows)) for t in trace.tableaux],
+        "tableaux": [list(map(list, t.rows)) for t in tableaux],
         "round_trip": round_trip,
     }
     return Report(
@@ -253,7 +254,7 @@ def cmd_tableau(args) -> Report:
         [f"matching: {m}", f"shapes:   {osc}"],
         ("step", "tableau_rows"),
         # rows joined by "/", entries by spaces; "-" for the empty tableau
-        [(i, str(t).replace("\n", "/") or "-") for i, t in enumerate(trace.tableaux)],
+        [(i, str(t).replace("\n", "/") or "-") for i, t in enumerate(tableaux)],
         {"round trip": round_trip},
     )
 

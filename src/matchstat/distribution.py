@@ -53,6 +53,7 @@ from .matchings import (
     BudgetError,
     _check_draws,
     _partners,
+    _unchecked,
     closed_form_moments,
     descent_stats,
     double_factorial,
@@ -115,7 +116,7 @@ def polynomial_by_enumeration(n: int) -> DescentPolynomial:
     coeffs = [0] * (2 * n)
     for m in enumerate_matchings(n):
         coeffs[descent_stats(m).descent_count] += 1
-    return DescentPolynomial(n, tuple(coeffs))
+    return _unchecked(DescentPolynomial, n=n, coeffs=tuple(coeffs))
 
 
 #: A carry pass runs at least this often: it leaves every limb below 2^33
@@ -232,7 +233,7 @@ def polynomial_by_gf(n: int) -> DescentPolynomial:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return DescentPolynomial(n, _gf_coeffs(n))
+    return _unchecked(DescentPolynomial, n=n, coeffs=_gf_coeffs(n))
 
 
 def _mirrored_law(

@@ -30,8 +30,8 @@ apply the in-place operation and freeze the result unchecked
 
 ``Tableau(rows)`` and ``Partition(parts)`` check every invariant of a
 value from outside.  A value built here from parts just checked (a
-frozen result, a tableau's shape, a conjugate partition) is built with
-``matchings._unchecked`` and not checked again.
+frozen result, its bumping route, a tableau's shape, a conjugate
+partition) is built with ``matchings._unchecked`` and not checked again.
 """
 
 from __future__ import annotations
@@ -436,7 +436,7 @@ def row_insert(t: Tableau, x: int) -> tuple[Tableau, BumpingRoute]:
     """
     rows = _thaw(t)
     boxes = tuple(Box(r + 1, c + 1) for r, c in enumerate(_insert(rows, x)))
-    return _freeze(rows), BumpingRoute(boxes, boxes[-1])
+    return _freeze(rows), _unchecked(BumpingRoute, boxes=boxes, new_box=boxes[-1])
 
 
 def reverse_row_insert(t: Tableau, b: Box) -> tuple[Tableau, int]:

@@ -99,13 +99,14 @@ class TestInverseMap:
                 assert oscillating_to_matching(osc) == m
 
     def test_trusted_matchings_pass_the_full_check(self):
-        # enumerate_matchings and from_pairs (behind the inverse map) build
-        # without Matching's own check
-        for n in range(1, 6):
-            for m in enumerate_matchings(n):
-                assert Matching(m.partner) == m
-                back = oscillating_to_matching(matching_to_oscillating(m)[0])
-                assert Matching(back.partner) == back
+        # enumerate_matchings, sample_uniform, the inverse map and
+        # conjugate_matching build without Matching's own check
+        for m in sample_matchings():
+            assert Matching(m.partner) == m
+            back = oscillating_to_matching(matching_to_oscillating(m)[0])
+            assert Matching(back.partner) == back
+            conjugate = conjugate_matching(m)
+            assert Matching(conjugate.partner) == conjugate
 
     def test_round_trip_random_large(self):
         for k in range(25):
@@ -172,9 +173,10 @@ class TestOscillatingValidation:
 
 
 class TestStepBuiltWalk:
-    """Walks built from their steps are checked per step at the step's
-    corner; the full constructor, which re-derives every step from the
-    shapes, must accept them and agree."""
+    """A walk the package runs is checked once, by the in-place operations,
+    and built from its moves unchecked; the full constructor, which checks
+    a walk from outside and re-derives every step from the shapes, must
+    accept it and agree."""
 
     def test_agrees_with_full_constructor(self):
         for m in sample_matchings():
@@ -187,33 +189,6 @@ class TestStepBuiltWalk:
     @staticmethod
     def steps(*moves):
         return [TraceStep(Box(row, col), insertion) for row, col, insertion in moves]
-
-    @pytest.mark.parametrize(
-        "moves,message",
-        [
-            # a new row more than one below the last row
-            ([(1, 1, True), (3, 1, True)], "shapes 1 and 2 do not differ by one box"),
-            # a new row that does not start in column 1
-            ([(1, 1, True), (2, 2, True)], "shapes 1 and 2 do not differ by one box"),
-            # a column past the end of the row
-            ([(1, 1, True), (1, 3, True)], "shapes 1 and 2 do not differ by one box"),
-            # a column the row above does not reach
-            ([(1, 1, True), (2, 1, True), (2, 2, True)], "shapes 2 and 3 do not"),
-            # a removal inside the row, not at its end
-            ([(1, 1, True), (1, 2, True), (1, 1, False)], "shapes 2 and 3 do not"),
-            # a removal at the end of a row the row below is as long as
-            ([(1, 1, True), (2, 1, True), (1, 1, False)], "shapes 2 and 3 do not"),
-            # a removal from the empty shape
-            ([(1, 1, False), (1, 1, True)], "shapes 0 and 1 do not"),
-            # a row that does not exist
-            ([(1, 1, True), (0, 1, True)], "shapes 1 and 2 do not"),
-            # every step at a corner, but the walk ends at (1, 1)
-            ([(1, 1, True), (2, 1, True)], "start and end at the empty shape"),
-        ],
-    )
-    def test_corner_check_rejects(self, moves, message):
-        with pytest.raises(ValueError, match=message):
-            OscillatingTableau._from_moves(self.steps(*moves))
 
     def test_corner_check_accepts(self):
         walk = OscillatingTableau._from_moves(
@@ -583,3 +558,38 @@ class TestWalkBudget:
         # pairs (i, 2n+1-i) cost n^2 + 2n; tests/test_cli.py refuses n = 2896
         n = 2895
         assert n**2 + 2 * n <= WALK_BUDGET < (n + 1) ** 2 + 2 * (n + 1)
+
+
+class TestConjugateBudget:
+    """Conjugation counts the parts of the conjugate shapes, the first parts
+    of the walk's shapes, and refuses more than WALK_BUDGET of them before
+    it builds a shape."""
+
+    def test_budget_is_the_sum_of_the_first_parts(self, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a shape was built")
+
+        k = 40  # one row out to k boxes and back: k^2 conjugate parts
+        row = ";".join(f"({i})" for i in [*range(1, k + 1), *range(k - 1, 0, -1)])
+        walks = [parse_oscillating(f"();{row};()")] + [
+            matching_to_oscillating(m)[0]
+            for m in [from_pairs((i, 41 - i) for i in range(1, 21))]
+            + [sample_uniform(30, 8, stream=s) for s in range(3)]
+        ]
+        counts = []
+        for walk in walks:
+            conjugate = conjugate_oscillating(walk)
+            count = sum(len(shape.parts) for shape in conjugate.shapes)
+            counts.append(count)
+            with monkeypatch.context() as patch:
+                patch.setattr("matchstat.bijection.WALK_BUDGET", count)
+                assert conjugate_oscillating(walk) == conjugate
+                patch.setattr("matchstat.bijection.WALK_BUDGET", count - 1)
+                patch.setattr("matchstat.bijection.OscillatingTableau._from_moves", no_walk)
+                with pytest.raises(
+                    BudgetError,
+                    match=f"^conjugate parts={count} exceeds the budget "
+                    f"conjugate parts <= {count - 1}$",
+                ):
+                    conjugate_oscillating(walk)
+        assert counts[:2] == [k * k, 2 * 20 - 1]  # a column of 20 conjugates to one row

@@ -172,6 +172,15 @@ class TestTableau:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "draw cost=327680000 exceeds" in err
 
+    def test_trace_budget_checked_before_the_inverse(self, capsys, monkeypatch):
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("the walk was inverted")
+
+        monkeypatch.setattr("matchstat.cli.oscillating_to_matching", no_inverse)
+        code, out, err = run(capsys, "tableau", "--matching", WIDE_TRACE)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and f"trace cells={1449**2} exceeds" in err
+
     def test_random_requires_n(self, capsys):
         code, _, _ = run(capsys, "tableau", "--random", "5")
         assert code == 2
