@@ -12,18 +12,22 @@ place.  Conjugating a shape transposes its diagram, so the conjugate
 walk swaps row and column in every step.  The forward map charges each
 move its work and refuses a walk past WALK_BUDGET.
 
-The walks the bijection builds for itself are lists of plain moves,
-((row, col), insertion) tuples, and ``conjugate_matching`` never leaves
-that form.  Each walk is checked once.  A walk from outside, such as
-``parse_oscillating``'s, is checked by ``OscillatingTableau(shapes)``: it
-checks every shape and re-derives every step from consecutive shapes.  A
-walk the package runs is checked by the in-place operations, which put
-each box at a corner of the shape before it.  So
-``OscillatingTableau._from_moves`` builds a walk a caller receives (the
-forward map and conjugation) from its moves unchecked, and the inverse
-map builds its matching unchecked.  Conjugation copies the first part of
-every shape as the conjugate's heights; it refuses a walk whose
-conjugate shapes would hold more than WALK_BUDGET parts.
+Every walk is its moves, plain ((row, col), insertion) tuples: the
+forward map, the inverse, conjugation and the classification of
+positions read nothing else, and ``conjugate_matching`` never leaves
+that form.  An ``OscillatingTableau`` builds its ``Partition`` shapes
+and ``TraceStep`` steps, and a ``BijectionTrace`` its steps, from the
+moves only when a caller reads them.  Each walk is checked once.  A walk
+from outside, such as ``parse_oscillating``'s, is checked by
+``OscillatingTableau(shapes)``: it checks every shape and re-derives
+every step from consecutive shapes.  A walk the package runs is checked
+by the in-place operations, which put each box at a corner of the shape
+before it.  So ``OscillatingTableau._from_moves`` keeps the moves of a
+walk a caller receives (the forward map and conjugation) unchecked, and
+the inverse map builds its matching unchecked.  Conjugation counts the
+first parts of the shapes, the conjugate's heights, from the row-1
+moves; it refuses a walk whose conjugate shapes would hold more than
+WALK_BUDGET parts.
 
 Conjugating every shape of the walk is an involution on matchings.  Under
 it the descent number reflects about n + 1 and the major index about n^2,
@@ -33,7 +37,7 @@ by the local shape pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from itertools import accumulate
 from typing import NamedTuple
@@ -78,12 +82,12 @@ TRACE_BUDGET = 2**21
 
 #: Largest cost of the forward map's walk, summed over its moves: the
 #: height of the working tableau after the move plus the box's column.
-#: That bounds the route of each insertion or slide and the parts that
-#: ``OscillatingTableau._from_moves`` copies for the shape; conjugation
-#: refuses a walk whose conjugate shapes hold more parts.  A nested
-#: matching, pairs (i, 2n+1-i), costs n^2 + 2n, so n = 2895 is the
-#: largest admitted; ``tableau --matching`` refuses its trace after about
-#: 2 s and 85 MB on one core of a 2-vCPU VM.
+#: That bounds the route of each insertion or slide and the parts of the
+#: walk's shapes, should a caller read them; conjugation refuses a walk
+#: whose conjugate shapes hold more parts.  A nested matching, pairs
+#: (i, 2n+1-i), costs n^2 + 2n, so n = 2895 is the largest admitted;
+#: ``tableau --matching`` refuses its trace, counted before the forward
+#: map, in about 10 ms on one core of a 2-vCPU VM.
 WALK_BUDGET = 2**23
 
 
@@ -94,7 +98,7 @@ class TraceStep(NamedTuple):
     insertion: bool
 
 
-#: A step as the bijection carries it internally: ((row, col), insertion).
+#: A step as a walk holds it: ((row, col), insertion).
 Move = tuple[tuple[int, int], bool]
 
 
@@ -102,12 +106,14 @@ Move = tuple[tuple[int, int], bool]
 class OscillatingTableau:
     """A walk of 2n+1 partitions: empty endpoints, one-box steps.
 
-    ``steps[i - 1]`` is the box added or removed between shapes i-1 and
-    i; validation derives them and equality compares the shapes only.
+    A walk is held by its 2n moves, ``((row, col), insertion)``;
+    ``shapes``, and ``steps[i - 1]``, the box added or removed between
+    shapes i-1 and i, are built from them the first time they are read
+    and then kept.  The full check derives the steps from the shapes and
+    keeps them as the moves.  Equality compares the shapes only.
     """
 
     shapes: tuple[Partition, ...]
-    steps: tuple[TraceStep, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shapes = self.shapes
@@ -128,6 +134,7 @@ class OscillatingTableau:
                     f"shapes {idx - 1} and {idx} do not differ by one box"
                 )
         object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "_moves", self.steps)
 
     @classmethod
     def _from_moves(cls, moves) -> OscillatingTableau:
@@ -138,37 +145,49 @@ class OscillatingTableau:
         or slide of the forward map proved that in place, and reflecting a
         checked walk keeps it.  So each shape is a partition one box from
         the last, all that ``__post_init__`` would derive, and nothing is
-        checked again.
+        checked again, now or when the shapes and steps are read.
         """
-        lengths: list[int] = []
-        parts = [()]
-        for (row, col), insertion in moves:
-            if insertion:
-                if col == 1:
-                    lengths.append(1)
+        return _unchecked(cls, _moves=tuple(moves))
+
+    def __getattr__(self, name: str) -> tuple:
+        # only a walk built by _from_moves lacks its shapes and steps
+        if name == "steps":
+            value = _trace_steps(self._moves)
+        elif name == "shapes":
+            lengths: list[int] = []
+            parts = [()]
+            for (row, col), insertion in self._moves:
+                if insertion:
+                    if col == 1:
+                        lengths.append(1)
+                    else:
+                        lengths[row - 1] = col
+                elif col == 1:
+                    lengths.pop()
                 else:
-                    lengths[row - 1] = col
-            elif col == 1:
-                lengths.pop()
-            else:
-                lengths[row - 1] = col - 1
-            parts.append(tuple(lengths))
-        return _unchecked(
-            cls,
-            shapes=tuple([_unchecked(Partition, parts=p) for p in parts]),
-            steps=tuple([TraceStep(Box._make(box), insertion) for box, insertion in moves]),
-        )
+                    lengths[row - 1] = col - 1
+                parts.append(tuple(lengths))
+            value = tuple([_unchecked(Partition, parts=p) for p in parts])
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = value
+        return value
 
     @property
     def n(self) -> int:
-        return (len(self.shapes) - 1) // 2
+        return len(self._moves) // 2
 
     @property
     def length(self) -> int:
-        return len(self.shapes) - 1
+        return len(self._moves)
 
     def __str__(self) -> str:
         return ";".join(str(p) for p in self.shapes)
+
+
+def _trace_steps(moves) -> tuple[TraceStep, ...]:
+    """The ``TraceStep``s of the given moves, for a caller that reads them."""
+    return tuple([TraceStep(Box._make(box), insertion) for box, insertion in moves])
 
 
 def parse_oscillating(text: str) -> OscillatingTableau:
@@ -178,31 +197,45 @@ def parse_oscillating(text: str) -> OscillatingTableau:
     )
 
 
+def _check_trace(m: Matching) -> None:
+    """Raise BudgetError if the trace of ``m`` holds more than TRACE_BUDGET cells."""
+    cells = sum(accumulate(1 if i < j else -1 for i, j in enumerate(m.partner, 1)))
+    if cells > TRACE_BUDGET:
+        raise BudgetError("trace cells", cells, TRACE_BUDGET)
+
+
 class BijectionTrace:
     """The working tableaux P_0..P_{2n} alongside the per-step boxes.
 
-    A trace holds the matching and the 2n steps its forward map took; the
-    tableaux are built on first access, by running the forward map's
-    checked in-place insertions and slides again on one working tableau
-    and freezing it unchecked after every step, so only a caller that
-    reads them pays for them.  Their cells are counted first, from the
-    matching alone, and BudgetError is raised above TRACE_BUDGET.
+    A trace holds the matching and the 2n steps its forward map took, as
+    ``TraceStep``s or plain moves; the ``TraceStep``s and the tableaux
+    are built on first access, so only a caller that reads them pays for
+    them.  The tableaux come from running the forward map's checked
+    in-place insertions and slides again on one working tableau and
+    freezing it unchecked after every step.  Their cells are counted
+    first, from the matching alone, and BudgetError is raised above
+    TRACE_BUDGET.
     """
 
     def __init__(self, matching: Matching, steps: tuple[TraceStep, ...]) -> None:
         if len(steps) != len(matching.partner):
             raise ValueError("need one step per letter of the matching")
         self._tableaux: tuple[Tableau, ...] | None = None
+        self._steps: tuple[TraceStep, ...] | None = None
         self._matching = matching
-        self.steps = tuple(steps)
+        self._moves = tuple(steps)
+
+    @property
+    def steps(self) -> tuple[TraceStep, ...]:
+        if self._steps is None:
+            self._steps = _trace_steps(self._moves)
+        return self._steps
 
     @property
     def tableaux(self) -> tuple[Tableau, ...]:
         if self._tableaux is None:
+            _check_trace(self._matching)
             partner = self._matching.partner
-            cells = sum(accumulate(1 if i < j else -1 for i, j in enumerate(partner, 1)))
-            if cells > TRACE_BUDGET:
-                raise BudgetError("trace cells", cells, TRACE_BUDGET)
             rows: list[list[int]] = []
             tableaux = [_freeze(rows)]
             for i, j in enumerate(partner, start=1):
@@ -274,12 +307,12 @@ def _transpose(steps) -> list[Move]:
 def matching_to_oscillating(m: Matching) -> tuple[OscillatingTableau, BijectionTrace]:
     """Map a matching to its shape walk, keeping the full trace."""
     walk = OscillatingTableau._from_moves(_walk(m))
-    return walk, BijectionTrace(m, walk.steps)
+    return walk, BijectionTrace(m, walk._moves)
 
 
 def oscillating_to_matching(t: OscillatingTableau) -> Matching:
     """Invert the shape walk back to its matching."""
-    return _unwalk(t.steps)
+    return _unwalk(t._moves)
 
 
 def conjugate_oscillating(t: OscillatingTableau) -> OscillatingTableau:
@@ -288,10 +321,13 @@ def conjugate_oscillating(t: OscillatingTableau) -> OscillatingTableau:
     Raises BudgetError, before any shape is built, when the conjugate
     shapes would hold more than WALK_BUDGET parts in all.
     """
-    count = sum(p.parts[0] for p in t.shapes if p.parts)
+    # the first part of each shape, counted from the moves in row 1
+    count = sum(
+        accumulate((1 if ins else -1) if row == 1 else 0 for (row, _), ins in t._moves)
+    )
     if count > WALK_BUDGET:
         raise BudgetError("conjugate parts", count, WALK_BUDGET)
-    return OscillatingTableau._from_moves(_transpose(t.steps))
+    return OscillatingTableau._from_moves(_transpose(t._moves))
 
 
 def conjugate_matching(m: Matching) -> Matching:
@@ -330,15 +366,15 @@ def classify_position(t: OscillatingTableau, i: int) -> PositionCase:
     """
     if not 1 <= i <= t.length - 1:
         raise ValueError(f"position {i} out of range 1..{t.length - 1}")
-    (first, rise1), (second, rise2) = t.steps[i - 1], t.steps[i]
+    ((row1, _), rise1), ((row2, _), rise2) = t._moves[i - 1], t._moves[i]
     if rise1 and not rise2:
         return PositionCase.PEAK
     if not rise1 and rise2:
         return PositionCase.VALLEY
     if rise1:
-        if second.row > first.row:
+        if row2 > row1:
             return PositionCase.DOUBLE_RISE_LOWER
         return PositionCase.DOUBLE_RISE_HIGHER
-    if first.row > second.row:
+    if row1 > row2:
         return PositionCase.DOUBLE_FALL_LOWER
     return PositionCase.DOUBLE_FALL_HIGHER

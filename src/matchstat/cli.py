@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 from itertools import pairwise
 
 from .bijection import (
+    _check_trace,
     conjugate_matching,
     matching_to_oscillating,
     oscillating_to_matching,
@@ -240,8 +241,9 @@ def cmd_tableau(args) -> Report:
         )
 
     m = parse_matching(args.matching)
+    _check_trace(m)  # before the forward map, whose walk can cost n^2
     osc, trace = matching_to_oscillating(m)
-    tableaux = trace.tableaux  # first: it enforces the trace budget
+    tableaux = trace.tableaux
     round_trip = oscillating_to_matching(osc) == m
     payload = {
         "matching": str(m),

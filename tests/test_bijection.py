@@ -1,6 +1,8 @@
 """The matching <-> oscillating-tableau correspondence and conjugation."""
 
+import copy
 import hashlib
+import pickle
 from bisect import bisect_left
 from itertools import combinations
 from random import Random
@@ -185,6 +187,41 @@ class TestStepBuiltWalk:
                 full = OscillatingTableau(walk.shapes)
                 assert full == walk
                 assert full.steps == walk.steps
+
+    def test_built_from_the_moves_only_when_read(self):
+        for m in sample_matchings():
+            osc, trace = matching_to_oscillating(m)
+            assert oscillating_to_matching(osc) == m
+            conjugate = conjugate_oscillating(osc)
+            for i in range(1, osc.length):
+                classify_position(osc, i)
+                classify_position(conjugate, i)
+            for walk in (osc, conjugate):
+                assert "shapes" not in vars(walk) and "steps" not in vars(walk)
+            assert trace._steps is None
+            for walk in (osc, conjugate):
+                full = OscillatingTableau(walk.shapes)
+                assert walk.shapes == full.shapes and walk.steps == full.steps
+                assert walk.shapes is walk.shapes and walk.steps is walk.steps
+            assert trace.steps == osc.steps
+
+    def test_lazy_walk_behaves_as_the_full_one(self):
+        osc, _ = matching_to_oscillating(sample_uniform(30, 5, stream=0))
+        for walk in (osc, conjugate_oscillating(osc)):
+            full = shapes_of(str(walk))
+
+            def lazy():
+                return OscillatingTableau._from_moves(walk._moves)
+
+            for twin in (lazy(), pickle.loads(pickle.dumps(lazy())), copy.deepcopy(lazy())):
+                assert twin == full and full == twin
+                assert hash(twin) == hash(full)
+                assert repr(twin) == repr(full)
+                assert twin.steps == full.steps
+            for value in (walk, full):
+                for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                    assert twin == value and twin.steps == value.steps
+        assert osc != conjugate_oscillating(osc)
 
     @staticmethod
     def steps(*moves):

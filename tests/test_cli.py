@@ -181,6 +181,15 @@ class TestTableau:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and f"trace cells={1449**2} exceeds" in err
 
+    def test_trace_budget_checked_before_the_forward_map(self, capsys, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the forward map ran")
+
+        monkeypatch.setattr("matchstat.cli.matching_to_oscillating", no_walk)
+        code, out, err = run(capsys, "tableau", "--matching", WIDE_TRACE)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and f"trace cells={1449**2} exceeds" in err
+
     def test_random_requires_n(self, capsys):
         code, _, _ = run(capsys, "tableau", "--random", "5")
         assert code == 2
