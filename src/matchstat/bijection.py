@@ -6,28 +6,25 @@ the minimum of the working tableau) with a hole slide.  The recorded
 shape walk starts and ends at the empty partition and moves by one box
 per step; it determines the matching uniquely.
 
-A walk is held by its 2n steps, the box each one adds or removes; the
-forward map and the inverse run them on one working tableau, changed in
-place.  Conjugating a shape transposes its diagram, so the conjugate
-walk swaps row and column in every step.  The forward map charges each
-move its work and refuses a walk past WALK_BUDGET.
+A walk is its 2n moves, ``((row, col), insertion)``, the box each step
+adds or removes, and walks compare by their moves.  The forward map and
+the inverse run the moves on one working tableau, changed in place.
+Conjugating a shape transposes its diagram, so the conjugate walk swaps
+row and column in every move; ``conjugate_matching`` never leaves that
+form.  Every other view (a walk's ``Partition`` shapes and ``TraceStep``
+steps, a trace's tableaux) is built on first read.  The forward map
+charges each move its work and refuses a walk past WALK_BUDGET.
 
-Every walk is its moves, plain ((row, col), insertion) tuples: the
-forward map, the inverse, conjugation and the classification of
-positions read nothing else, and ``conjugate_matching`` never leaves
-that form.  An ``OscillatingTableau`` builds its ``Partition`` shapes
-and ``TraceStep`` steps, and a ``BijectionTrace`` its steps, from the
-moves only when a caller reads them.  Each walk is checked once.  A walk
-from outside, such as ``parse_oscillating``'s, is checked by
-``OscillatingTableau(shapes)``: it checks every shape and re-derives
-every step from consecutive shapes.  A walk the package runs is checked
-by the in-place operations, which put each box at a corner of the shape
-before it.  So ``OscillatingTableau._from_moves`` keeps the moves of a
-walk a caller receives (the forward map and conjugation) unchecked, and
-the inverse map builds its matching unchecked.  Conjugation counts the
-first parts of the shapes, the conjugate's heights, from the row-1
-moves; it refuses a walk whose conjugate shapes would hold more than
-WALK_BUDGET parts.
+Each walk is checked once.  A walk from outside, such as
+``parse_oscillating``'s, is checked by ``OscillatingTableau(shapes)``: it
+checks every shape and re-derives every step from consecutive shapes.  A
+walk the package runs is checked by the in-place operations, which put
+each box at a corner of the shape before it.  So
+``OscillatingTableau._from_moves`` keeps the moves of a walk a caller
+receives (the forward map and conjugation) unchecked, and the inverse map
+builds its matching unchecked.  Conjugation counts the first parts of the
+shapes, the conjugate's heights, from the row-1 moves; it refuses a walk
+whose conjugate shapes would hold more than WALK_BUDGET parts.
 
 Conjugating every shape of the walk is an involution on matchings.  Under
 it the descent number reflects about n + 1 and the major index about n^2,
@@ -39,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -75,8 +73,8 @@ __all__ = [
 
 #: Largest number of cells, summed over its 2n+1 tableaux, that a trace
 #: builds; a trace of 2n steps has at most n^2.  The slowest trace within
-#: it, a single column, takes about 7 s and 370 MB through
-#: ``tableau --matching`` on one core of a 2-vCPU VM.
+#: it, a single column at n = 1448, takes 2-2.5 s (json) or 3-4.5 s (text,
+#: csv) and 200 MB through ``tableau --matching`` on one core of a 2-vCPU VM.
 TRACE_BUDGET = 2**21
 
 
@@ -102,21 +100,19 @@ class TraceStep(NamedTuple):
 Move = tuple[tuple[int, int], bool]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class OscillatingTableau:
     """A walk of 2n+1 partitions: empty endpoints, one-box steps.
 
-    A walk is held by its 2n moves, ``((row, col), insertion)``;
-    ``shapes``, and ``steps[i - 1]``, the box added or removed between
-    shapes i-1 and i, are built from them the first time they are read
-    and then kept.  The full check derives the steps from the shapes and
-    keeps them as the moves.  Equality compares the shapes only.
+    A walk is its 2n moves, ``((row, col), insertion)``, and compares by
+    them.  ``shapes``, and ``steps[i - 1]``, the box added or removed
+    between shapes i-1 and i, are built from the moves on first read.
     """
 
-    shapes: tuple[Partition, ...]
+    _moves: tuple[Move, ...]
 
-    def __post_init__(self) -> None:
-        shapes = self.shapes
+    def __init__(self, shapes: tuple[Partition, ...]) -> None:
+        shapes = tuple(shapes)
         if len(shapes) < 3 or len(shapes) % 2 == 0:
             raise ValueError("a walk of length 2n needs 2n+1 shapes, n >= 1")
         if shapes[0].parts or shapes[-1].parts:
@@ -133,8 +129,8 @@ class OscillatingTableau:
                 raise ValueError(
                     f"shapes {idx - 1} and {idx} do not differ by one box"
                 )
-        object.__setattr__(self, "steps", tuple(steps))
-        object.__setattr__(self, "_moves", self.steps)
+        steps = tuple(steps)
+        self.__dict__.update(_moves=steps, shapes=shapes, steps=steps)
 
     @classmethod
     def _from_moves(cls, moves) -> OscillatingTableau:
@@ -144,34 +140,31 @@ class OscillatingTableau:
         shape before it, and the moves end at the empty shape: an insertion
         or slide of the forward map proved that in place, and reflecting a
         checked walk keeps it.  So each shape is a partition one box from
-        the last, all that ``__post_init__`` would derive, and nothing is
+        the last, all that ``__init__`` would derive, and nothing is
         checked again, now or when the shapes and steps are read.
         """
         return _unchecked(cls, _moves=tuple(moves))
 
-    def __getattr__(self, name: str) -> tuple:
-        # only a walk built by _from_moves lacks its shapes and steps
-        if name == "steps":
-            value = _trace_steps(self._moves)
-        elif name == "shapes":
-            lengths: list[int] = []
-            parts = [()]
-            for (row, col), insertion in self._moves:
-                if insertion:
-                    if col == 1:
-                        lengths.append(1)
-                    else:
-                        lengths[row - 1] = col
-                elif col == 1:
-                    lengths.pop()
+    @cached_property
+    def shapes(self) -> tuple[Partition, ...]:
+        lengths: list[int] = []
+        parts = [()]
+        for (row, col), insertion in self._moves:
+            if insertion:
+                if col == 1:
+                    lengths.append(1)
                 else:
-                    lengths[row - 1] = col - 1
-                parts.append(tuple(lengths))
-            value = tuple([_unchecked(Partition, parts=p) for p in parts])
-        else:
-            raise AttributeError(name)
-        self.__dict__[name] = value
-        return value
+                    lengths[row - 1] = col
+            elif col == 1:
+                lengths.pop()
+            else:
+                lengths[row - 1] = col - 1
+            parts.append(tuple(lengths))
+        return tuple([_unchecked(Partition, parts=p) for p in parts])
+
+    @cached_property
+    def steps(self) -> tuple[TraceStep, ...]:
+        return tuple([TraceStep(Box._make(box), ins) for box, ins in self._moves])
 
     @property
     def n(self) -> int:
@@ -181,13 +174,11 @@ class OscillatingTableau:
     def length(self) -> int:
         return len(self._moves)
 
+    def __repr__(self) -> str:
+        return f"OscillatingTableau(shapes={self.shapes!r})"
+
     def __str__(self) -> str:
         return ";".join(str(p) for p in self.shapes)
-
-
-def _trace_steps(moves) -> tuple[TraceStep, ...]:
-    """The ``TraceStep``s of the given moves, for a caller that reads them."""
-    return tuple([TraceStep(Box._make(box), insertion) for box, insertion in moves])
 
 
 def parse_oscillating(text: str) -> OscillatingTableau:
@@ -205,47 +196,37 @@ def _check_trace(m: Matching) -> None:
 
 
 class BijectionTrace:
-    """The working tableaux P_0..P_{2n} alongside the per-step boxes.
+    """A matching's walk alongside its working tableaux P_0..P_{2n}.
 
-    A trace holds the matching and the 2n steps its forward map took, as
-    ``TraceStep``s or plain moves; the ``TraceStep``s and the tableaux
-    are built on first access, so only a caller that reads them pays for
-    them.  The tableaux come from running the forward map's checked
-    in-place insertions and slides again on one working tableau and
-    freezing it unchecked after every step.  Their cells are counted
-    first, from the matching alone, and BudgetError is raised above
-    TRACE_BUDGET.
+    A trace holds the matching and its walk, whose ``steps`` it returns.
+    Its tableaux come from running the forward map's checked in-place
+    insertions and slides again on one working tableau and freezing it
+    unchecked after every step.  Their cells are counted first, from the
+    matching alone, and BudgetError is raised above TRACE_BUDGET.
     """
 
     def __init__(self, matching: Matching, steps: tuple[TraceStep, ...]) -> None:
         if len(steps) != len(matching.partner):
             raise ValueError("need one step per letter of the matching")
-        self._tableaux: tuple[Tableau, ...] | None = None
-        self._steps: tuple[TraceStep, ...] | None = None
         self._matching = matching
-        self._moves = tuple(steps)
+        self._walk = OscillatingTableau._from_moves(steps)
 
     @property
     def steps(self) -> tuple[TraceStep, ...]:
-        if self._steps is None:
-            self._steps = _trace_steps(self._moves)
-        return self._steps
+        return self._walk.steps
 
-    @property
+    @cached_property
     def tableaux(self) -> tuple[Tableau, ...]:
-        if self._tableaux is None:
-            _check_trace(self._matching)
-            partner = self._matching.partner
-            rows: list[list[int]] = []
-            tableaux = [_freeze(rows)]
-            for i, j in enumerate(partner, start=1):
-                if i < j:
-                    _insert(rows, j)
-                else:
-                    _slide(rows)
-                tableaux.append(_freeze(rows))
-            self._tableaux = tuple(tableaux)
-        return self._tableaux
+        _check_trace(self._matching)
+        rows: list[list[int]] = []
+        tableaux = [_freeze(rows)]
+        for i, j in enumerate(self._matching.partner, start=1):
+            if i < j:
+                _insert(rows, j)
+            else:
+                _slide(rows)
+            tableaux.append(_freeze(rows))
+        return tuple(tableaux)
 
 
 def _walk(m: Matching) -> list[Move]:
@@ -307,7 +288,7 @@ def _transpose(steps) -> list[Move]:
 def matching_to_oscillating(m: Matching) -> tuple[OscillatingTableau, BijectionTrace]:
     """Map a matching to its shape walk, keeping the full trace."""
     walk = OscillatingTableau._from_moves(_walk(m))
-    return walk, BijectionTrace(m, walk._moves)
+    return walk, _unchecked(BijectionTrace, _matching=m, _walk=walk)
 
 
 def oscillating_to_matching(t: OscillatingTableau) -> Matching:

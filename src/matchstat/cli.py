@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from itertools import pairwise
 
@@ -57,15 +58,15 @@ class Report:
     """What one command found, ready for every output format.
 
     ``json_text`` is the json output.  The csv output is the table:
-    ``columns``, then ``rows``, whose cells hold no commas.  The text
-    output is the ``heading`` lines, the table, and one
+    ``columns``, then ``rows``, read once, whose cells hold no commas.
+    The text output is the ``heading`` lines, the table, and one
     ``name: PASS|FAIL`` line per entry of ``checks``.
     """
 
     json_text: str
     heading: list[str]
     columns: tuple[str, ...]
-    rows: list[tuple]
+    rows: Iterable[tuple]
     checks: dict[str, bool]
 
     def render(self, fmt: str) -> str:
@@ -245,18 +246,19 @@ def cmd_tableau(args) -> Report:
     osc, trace = matching_to_oscillating(m)
     tableaux = trace.tableaux
     round_trip = oscillating_to_matching(osc) == m
+    shapes = str(osc)
     payload = {
         "matching": str(m),
-        "shapes": str(osc),
-        "tableaux": [list(map(list, t.rows)) for t in tableaux],
+        "shapes": shapes,
+        "tableaux": [t.rows for t in tableaux],
         "round_trip": round_trip,
     }
     return Report(
         json.dumps(payload),
-        [f"matching: {m}", f"shapes:   {osc}"],
+        [f"matching: {m}", f"shapes:   {shapes}"],
         ("step", "tableau_rows"),
         # rows joined by "/", entries by spaces; "-" for the empty tableau
-        [(i, str(t).replace("\n", "/") or "-") for i, t in enumerate(tableaux)],
+        ((i, str(t).replace("\n", "/") or "-") for i, t in enumerate(tableaux)),
         {"round trip": round_trip},
     )
 

@@ -67,7 +67,7 @@ class BudgetError(RuntimeError):
 
 
 def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` built without its check.
+    """An instance of ``cls`` with the given attributes, built without its check.
 
     Only for a value this package has just built from parts it checked;
     a value from outside goes through ``cls(...)`` and its full check.

@@ -208,11 +208,23 @@ def test_09_deterministic_convergence(coeffs_1000):
     # the n = 1000 calls below and the later users of the fixture share it
     ks50, ks200, ks1000 = (exact_ks_distance(n) for n in (50, 200, 1000))
     ks_ok = ks50 > ks200 > ks1000 and ks200 <= 0.05
+    # sqrt(n) KS_n rises to half the central atom of the lattice law of
+    # sqrt(n) W, whose variance tends to 1/6: sqrt(6)/(2 sqrt(2 pi))
+    ks_rates = [math.sqrt(50) * ks50, math.sqrt(200) * ks200, math.sqrt(1000) * ks1000]
+    ks_limit = math.sqrt(6) / (2 * math.sqrt(2 * math.pi))
+    ks_ok = ks_ok and ks_rates[0] < ks_rates[1] < ks_rates[2] < ks_limit
 
     entries = mgf_convergence_report([10, 100, 400, 1000], [1.0])
     errs = [e.abs_error for e in entries]
     target_ok = round(entries[0].target, 6) == 1.086904
     mgf_ok = errs[0] > errs[1] > errs[2] > errs[3] and target_ok
+    # n (MGF_n(1) - e^(1/12)) rises to the 1/n term of MGF_n(1),
+    # e^(1/12) (7/24 - 1/1440): 7/24 from Var W = 1/6 + 7/(12n) + O(1/n^2),
+    # -1/1440 from the fourth cumulant of W
+    mgf_rates = [e.n * (e.mgf_value - e.target) for e in entries]
+    mgf_limit = math.exp(1 / 12) * (7 / 24 - 1 / 1440)
+    mgf_ok = mgf_ok and all(a < b for a, b in zip(mgf_rates, mgf_rates[1:]))
+    mgf_ok = mgf_ok and mgf_rates[-1] < mgf_limit
 
     gaps = []
     bounds_ok = True

@@ -1,6 +1,7 @@
 """The matching <-> oscillating-tableau correspondence and conjugation."""
 
 import copy
+import dataclasses
 import hashlib
 import pickle
 from bisect import bisect_left
@@ -198,7 +199,7 @@ class TestStepBuiltWalk:
                 classify_position(conjugate, i)
             for walk in (osc, conjugate):
                 assert "shapes" not in vars(walk) and "steps" not in vars(walk)
-            assert trace._steps is None
+            assert "steps" not in vars(trace._walk)
             for walk in (osc, conjugate):
                 full = OscillatingTableau(walk.shapes)
                 assert walk.shapes == full.shapes and walk.steps == full.steps
@@ -222,6 +223,18 @@ class TestStepBuiltWalk:
                 for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
                     assert twin == value and twin.steps == value.steps
         assert osc != conjugate_oscillating(osc)
+
+    def test_compared_by_the_moves(self):
+        m = from_pairs((i, 41 - i) for i in range(1, 21))
+        osc, trace = matching_to_oscillating(m)
+        twin = matching_to_oscillating(m)[0]
+        assert osc == twin and hash(osc) == hash(twin)
+        assert osc != conjugate_oscillating(osc)
+        assert "shapes" not in vars(osc) and "shapes" not in vars(twin)
+        assert trace.steps is osc.steps
+        for name in ("shapes", "steps"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(osc, name, ())
 
     @staticmethod
     def steps(*moves):

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from matchstat import matching_to_oscillating, sample_uniform
 from matchstat.cli import main
 from matchstat.distribution import _gf_coeffs
 from matchstat.matchings import double_factorial
@@ -202,6 +203,48 @@ class TestTableau:
         payload = json.loads(out)
         assert payload["round_trip"] is True
         assert payload["tableaux"][0] == []
+
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [
+            (
+                "text",
+                "matching: 1-4,2-3,5-6\nshapes:   ();(1);(1,1);(1);();(1);()\n"
+                "step,tableau_rows\n0,-\n1,4\n2,3/4\n3,4\n4,-\n5,6\n6,-\n"
+                "round trip: PASS\n",
+            ),
+            (
+                "json",
+                '{"matching": "1-4,2-3,5-6", "shapes": "();(1);(1,1);(1);();(1);()", '
+                '"tableaux": [[], [[4]], [[3], [4]], [[4]], [], [[6]], []], '
+                '"round_trip": true}\n',
+            ),
+            ("csv", "step,tableau_rows\n0,-\n1,4\n2,3/4\n3,4\n4,-\n5,6\n6,-\n"),
+        ],
+    )
+    def test_worked_example_output(self, capsys, fmt, expected):
+        code, out, err = run(
+            capsys, "tableau", "--matching", "1-4,2-3,5-6", "--format", fmt
+        )
+        assert (code, out, err) == (0, expected, "")
+
+    def test_json_and_csv_hold_the_same_tableaux(self, capsys):
+        m = sample_uniform(50, 11, stream=0)
+        _, out, _ = run(capsys, "tableau", "--matching", str(m), "--format", "json")
+        tableaux = json.loads(out)["tableaux"]
+        _, out, _ = run(capsys, "tableau", "--matching", str(m), "--format", "csv")
+        header, *lines = out.splitlines()
+        assert header == "step,tableau_rows"
+        from_csv = []
+        for step, line in enumerate(lines):
+            index, rows = line.split(",")
+            assert int(index) == step
+            cells = [] if rows == "-" else rows.split("/")
+            from_csv.append([list(map(int, r.split())) for r in cells])
+        assert from_csv == tableaux
+        assert len(tableaux) == 101 and tableaux[0] == tableaux[-1] == []
+        trace = matching_to_oscillating(m)[1]
+        assert tableaux == [[list(row) for row in t.rows] for t in trace.tableaux]
 
 
 class TestClt:
