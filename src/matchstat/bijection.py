@@ -12,14 +12,17 @@ the inverse run the moves on one working tableau, changed in place.
 Conjugating a shape transposes its diagram, so the conjugate walk swaps
 row and column in every move; ``conjugate_matching`` never leaves that
 form.  Every other view (a walk's ``Partition`` shapes and ``TraceStep``
-steps, a trace's tableaux) is built on first read.  The forward map
-charges each move its work and refuses a walk past WALK_BUDGET.
+steps, a trace's tableaux) is built on first read, save that
+``tableau --matching`` takes a trace's tableaux from the forward map's
+own pass.  The forward map charges each move its work and refuses a
+walk past WALK_BUDGET.
 
 Each walk is checked once.  A walk from outside, such as
 ``parse_oscillating``'s, is checked by ``OscillatingTableau(shapes)``: it
 checks every shape and re-derives every step from consecutive shapes.  A
-walk the package runs is checked by the in-place operations, which put
-each box at a corner of the shape before it.  So
+walk the forward map runs is checked by its one O(1) corner test per
+move, read from the working tableau's row lengths, which proves every
+forward walk an oscillating tableau.  So
 ``OscillatingTableau._from_moves`` keeps the moves of a walk a caller
 receives (the forward map and conjugation) unchecked, and the inverse map
 builds its matching unchecked.  Conjugation counts the first parts of the
@@ -73,7 +76,7 @@ __all__ = [
 
 #: Largest number of cells, summed over its 2n+1 tableaux, that a trace
 #: builds; a trace of 2n steps has at most n^2.  The slowest trace within
-#: it, a single column at n = 1448, takes 2-2.5 s (json) or 3-4.5 s (text,
+#: it, a single column at n = 1448, takes 1.5-2 s (json) or 2.5-4 s (text,
 #: csv) and 200 MB through ``tableau --matching`` on one core of a 2-vCPU VM.
 TRACE_BUDGET = 2**21
 
@@ -137,9 +140,9 @@ class OscillatingTableau:
         """The walk of the given moves from the empty shape, built unchecked.
 
         Every move the package passes here is a box at a corner of the
-        shape before it, and the moves end at the empty shape: an insertion
-        or slide of the forward map proved that in place, and reflecting a
-        checked walk keeps it.  So each shape is a partition one box from
+        shape before it, and the moves end at the empty shape: the forward
+        map's corner test proved that for each of its moves, and reflecting
+        a checked walk keeps it.  So each shape is a partition one box from
         the last, all that ``__init__`` would derive, and nothing is
         checked again, now or when the shapes and steps are read.
         """
@@ -199,10 +202,9 @@ class BijectionTrace:
     """A matching's walk alongside its working tableaux P_0..P_{2n}.
 
     A trace holds the matching and its walk, whose ``steps`` it returns.
-    Its tableaux come from running the forward map's checked in-place
-    insertions and slides again on one working tableau and freezing it
-    unchecked after every step.  Their cells are counted first, from the
-    matching alone, and BudgetError is raised above TRACE_BUDGET.
+    Its tableaux are the forward map's working tableau, frozen unchecked
+    after every step.  Their cells are counted first, from the matching
+    alone, and BudgetError is raised above TRACE_BUDGET.
     """
 
     def __init__(self, matching: Matching, steps: tuple[TraceStep, ...]) -> None:
@@ -217,41 +219,48 @@ class BijectionTrace:
 
     @cached_property
     def tableaux(self) -> tuple[Tableau, ...]:
-        _check_trace(self._matching)
-        rows: list[list[int]] = []
-        tableaux = [_freeze(rows)]
-        for i, j in enumerate(self._matching.partner, start=1):
-            if i < j:
-                _insert(rows, j)
-            else:
-                _slide(rows)
-            tableaux.append(_freeze(rows))
-        return tuple(tableaux)
+        return _traced(self._matching)[1].tableaux
 
 
-def _walk(m: Matching) -> list[Move]:
+def _walk(m: Matching, tableaux: list[Tableau] | None = None) -> list[Move]:
     """The forward map's 2n moves, taken on one working tableau.
 
-    Raises BudgetError as soon as the moves cost more than WALK_BUDGET.
+    Each move's box is tested against the row lengths after it: an
+    inserted box needs a row above that reaches its column, a slid-out
+    box no row below that does.  An insertion or slide changes only the
+    length of the row its route ends in, by one box, so the test proves
+    the box a corner and the walk an oscillating tableau.  Raises
+    BudgetError as soon as the moves cost more than WALK_BUDGET.  Given
+    a list ``tableaux``, appends the working tableau to it, frozen,
+    before the first step and after every step.
     """
     rows: list[list[int]] = []
     moves = []
     cost = 0
+    if tableaux is not None:
+        tableaux.append(_freeze(rows))
     for i, j in enumerate(m.partner, start=1):
         if i < j:
             cols = _insert(rows, j)
-            box = (len(cols), cols[-1] + 1)
+            r, c = box = (len(cols), cols[-1] + 1)
+            if r > 1 and len(rows[r - 2]) < c:
+                raise RuntimeError(f"defect: {box} is not an addable corner")
             moves.append((box, True))
         else:
             if not rows or rows[0][0] != i:
                 raise RuntimeError(
                     f"defect: {i} is not the minimum of the working tableau"
                 )
-            box = _slide(rows)
+            r, c = box = _slide(rows)
+            below = r if c > 1 else r - 1  # a one-box row is gone
+            if below < len(rows) and len(rows[below]) >= c:
+                raise RuntimeError(f"defect: {box} is not a removable corner")
             moves.append((box, False))
-        cost += len(rows) + box[1]
+        cost += len(rows) + c
         if cost > WALK_BUDGET:
             raise BudgetError("walk cost", cost, WALK_BUDGET)
+        if tableaux is not None:
+            tableaux.append(_freeze(rows))
     return moves
 
 
@@ -289,6 +298,18 @@ def matching_to_oscillating(m: Matching) -> tuple[OscillatingTableau, BijectionT
     """Map a matching to its shape walk, keeping the full trace."""
     walk = OscillatingTableau._from_moves(_walk(m))
     return walk, _unchecked(BijectionTrace, _matching=m, _walk=walk)
+
+
+def _traced(m: Matching) -> tuple[OscillatingTableau, BijectionTrace]:
+    """``matching_to_oscillating`` with the trace's tableaux, in one pass.
+
+    Raises BudgetError above TRACE_BUDGET before the forward map runs.
+    """
+    _check_trace(m)
+    tableaux: list[Tableau] = []
+    walk = OscillatingTableau._from_moves(_walk(m, tableaux))
+    trace = _unchecked(BijectionTrace, _matching=m, _walk=walk, tableaux=tuple(tableaux))
+    return walk, trace
 
 
 def oscillating_to_matching(t: OscillatingTableau) -> Matching:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from itertools import pairwise
 
 from .bijection import (
-    _check_trace,
+    _traced,
     conjugate_matching,
     matching_to_oscillating,
     oscillating_to_matching,
@@ -242,8 +242,7 @@ def cmd_tableau(args) -> Report:
         )
 
     m = parse_matching(args.matching)
-    _check_trace(m)  # before the forward map, whose walk can cost n^2
-    osc, trace = matching_to_oscillating(m)
+    osc, trace = _traced(m)  # the trace budget is checked before the forward map
     tableaux = trace.tableaux
     round_trip = oscillating_to_matching(osc) == m
     shapes = str(osc)

@@ -15,23 +15,17 @@ as a list of row lists (``_insert``, ``_unbump``, ``_slide``,
 corners are plain 1-indexed (row, col) pairs: ``_slide`` returns one,
 and ``_unbump`` and ``_unslide`` take a pair or a ``Box`` alike.  A
 ``Box`` is built only for a public result, such as the corner that
-``delete_min_and_slide`` returns.  Each operation compares every value
-it writes with its neighbours while it holds them in local variables,
-at the point where the pair becomes final, and checks the length of the
-row above each written cell: O(route) work that, applied to a valid
-tableau, keeps it valid.  It skips only what its own choice has just
-settled: the bounds ``bisect`` gives the insertions, and the pair the
-slides' branch test compares.  The comparisons run in the order of a
-check of each written cell in turn (left, right, row length, above,
-below), so the first one to fail, and its message, is the one that
-check would find.  The public functions copy an immutable ``Tableau``,
-apply the in-place operation and freeze the result unchecked
-(``_freeze``): the operation's own checks have kept it valid.
+``delete_min_and_slide`` returns.  The operations check only their O(1)
+preconditions (a positive value, a corner of the shape, a minimum below
+every entry, a nonempty tableau): a valid tableau in gives a valid
+tableau out, which the tests check from outside.  The public functions
+copy an immutable ``Tableau``, apply the in-place operation and freeze
+the result unchecked (``_freeze``).
 
 ``Tableau(rows)`` and ``Partition(parts)`` check every invariant of a
-value from outside.  A value built here from parts just checked (a
-frozen result, its bumping route, a tableau's shape, a conjugate
-partition) is built with ``matchings._unchecked`` and not checked again.
+value from outside.  A value built here from valid values (a frozen
+result, its bumping route, a tableau's shape, a conjugate partition) is
+built with ``matchings._unchecked`` and not checked again.
 """
 
 from __future__ import annotations
@@ -182,57 +176,20 @@ def _thaw(t: Tableau) -> list[list[int]]:
     return [list(row) for row in t.rows]
 
 
-_ROWS = "rows must be weakly increasing"
-_COLUMNS = "columns must be strictly increasing"
-_LENGTHS = "row lengths must be weakly decreasing"
-
-
 def _insert(rows: list[list[int]], x: int) -> list[int]:
-    """Row-insert x in place; return the route's column (0-indexed) in each row.
-
-    A route cell's pairs are checked when they are final: its right pair,
-    the length of the row above and its above pair when it is written, its
-    below pair when the next row is.  bisect_right leaves row[c - 1] at
-    most the value written at c, so the left pair needs no check.
-    """
+    """Row-insert x in place; return the route's column (0-indexed) in each row."""
     if x < 1:
         raise ValueError(f"entries must be positive, got {x}")
     cols: list[int] = []
-    above = None
-    b = top = 0  # the route's column in the row above, and its length
     for row in rows:
-        w = x
-        c = bisect_right(row, w)
-        m = len(row)
-        tail = c == m
-        if tail:
-            row.append(w)
-            m += 1
-        else:
-            x = row[c]
-            row[c] = w
-        # the below pair of the route cell above is due before this cell's pairs
-        if above is not None and b < m and row[b] <= above[b]:
-            raise ValueError(_COLUMNS)
-        if c + 1 < m and w > row[c + 1]:
-            raise ValueError(_ROWS)
-        if above is not None and c != b:
-            if c >= top:
-                raise ValueError(_LENGTHS)
-            if above[c] >= w:
-                raise ValueError(_COLUMNS)
+        c = bisect_right(row, x)
         cols.append(c)
-        if tail:
-            r = len(cols)
-            if r < len(rows) and c < len(rows[r]) and rows[r][c] <= w:
-                raise ValueError(_COLUMNS)
-            break
-        above, b, top = row, c, m
-    else:  # x opens a new row; its above pair is its only one
-        if above is not None and above[0] >= x:
-            raise ValueError(_COLUMNS)
-        rows.append([x])
-        cols.append(0)
+        if c == len(row):
+            row.append(x)
+            return cols
+        x, row[c] = row[c], x
+    rows.append([x])  # x opens a new row
+    cols.append(0)
     return cols
 
 
@@ -240,10 +197,6 @@ def _unbump(rows: list[list[int]], b: tuple[int, int]) -> int:
     """Reverse row insertion in place from the removable corner ``b``.
 
     ``b`` is a 1-indexed (row, col) pair, a ``Box`` or a plain tuple.
-    Each written cell's left pair, the length of the row above it and its
-    below pair are checked when it is written, its above pair when the row
-    above is.  bisect_left leaves row[idx + 1] >= the written value, so
-    the right pair needs no check.
     """
     row, col = b
     r, c = row - 1, col - 1
@@ -257,30 +210,11 @@ def _unbump(rows: list[list[int]], b: tuple[int, int]) -> int:
     value = rows[r].pop()
     if not rows[r]:
         del rows[r]
-    below = rows[r] if r < len(rows) else []
-    # the column written in the row below (-1: none yet) and that row's length
-    d, low = -1, len(below)
-    for k in range(r - 1, -1, -1):
-        row = rows[k]
-        w = value
+    for row in reversed(rows[:r]):
         # the rightmost entry strictly smaller than the travelling value
-        # is the one that bumped it; swap them back (idx is -1, the last
-        # cell, only in a tableau whose columns are out of order)
-        idx = bisect_left(row, w) - 1
-        value = row[idx]
-        row[idx] = w
-        m = len(row)
-        i = idx % m
-        # the above pair of the cell written below is due before this cell's pairs
-        if d >= 0 and row[d] >= below[d]:
-            raise ValueError(_COLUMNS)
-        if i and row[i - 1] > w:
-            raise ValueError(_ROWS)
-        if k and i >= len(rows[k - 1]):
-            raise ValueError(_LENGTHS)
-        if i != d and i < low and below[i] <= w:  # i == d: the pair just checked
-            raise ValueError(_COLUMNS)
-        below, d, low = row, i, m
+        # is the one that bumped it; swap them back
+        idx = bisect_left(row, value) - 1
+        value, row[idx] = row[idx], value
     return value
 
 
@@ -288,66 +222,26 @@ def _slide(rows: list[list[int]]) -> tuple[int, int]:
     """Remove (1,1) in place and slide the hole out; return the vacated corner.
 
     The corner is a plain 1-indexed (row, col) pair.
-
-    Each entry that moves into the hole is checked against the one written
-    before it, the pair the hole passed through, and then against its
-    left or above neighbour; a cell's row length and above pair wait for
-    its right pair when the hole moves on to the right.  The branch test
-    settles the below pair of an entry that moves left and the right pair
-    of one that moves up.
     """
     if not rows:
         raise ValueError("cannot delete from an empty tableau")
     last = len(rows) - 1
-    r = c = e = 0  # the hole is at (r, c); it entered row r at column e
-    x = top = 0  # the entry written before, into the cell the hole left; len(above)
-    above: list[int] = []
+    r = c = 0  # the hole
     row = rows[0]
     below = rows[1] if last else []
     end, reach = len(row) - 1, len(below)
     while True:
         if c < end and not (c < reach and below[c] <= row[c + 1]):
-            y = row[c + 1]
-            down = False
+            row[c] = row[c + 1]
+            c += 1
         elif c < reach:
-            y = below[c]
-            down = True
+            row[c] = below[c]
+            r += 1
+            row = below
+            below = rows[r + 1] if r < last else []
+            end, reach = reach - 1, len(below)
         else:
             break
-        row[c] = y
-        if c != e:  # the hole came from the left, where x was written
-            if x > y:
-                raise ValueError(_ROWS)
-            if r and c - 1 != e:  # x's cell came from the left too
-                if c > top:
-                    raise ValueError(_LENGTHS)
-                if above[c - 1] >= x:
-                    raise ValueError(_COLUMNS)
-        elif r:  # the hole came down; x was written above it
-            if x >= y:
-                raise ValueError(_COLUMNS)
-            if c and row[c - 1] > y:
-                raise ValueError(_ROWS)
-        x = y
-        if not down:
-            c += 1
-            continue
-        if r and c != e:  # y's right pair is settled: its length and above pair
-            if c >= top:
-                raise ValueError(_LENGTHS)
-            if above[c] >= y:
-                raise ValueError(_COLUMNS)
-        r += 1
-        e = c
-        top = end + 1
-        above, row = row, below
-        below = rows[r + 1] if r < last else []
-        end, reach = reach - 1, len(below)
-    if r and c - 1 > e:  # x came from the left and has no right pair now
-        if c > top:
-            raise ValueError(_LENGTHS)
-        if above[c - 1] >= x:
-            raise ValueError(_COLUMNS)
     row.pop()
     if not row:
         del rows[r]
@@ -358,15 +252,6 @@ def _unslide(rows: list[list[int]], corner: tuple[int, int], v: int) -> None:
     """Reverse slide in place from the addable ``corner``, then write v at (1,1).
 
     ``corner`` is a 1-indexed (row, col) pair, a ``Box`` or a plain tuple.
-
-    Each entry that moves into the hole is checked against the one written
-    before it, the pair the hole passed through, and then against its
-    right neighbour, or its below neighbour once it moves up; the below
-    pair of an entry that moves left waits for its left pair.  The branch
-    test settles the left pair of an entry that moves up and the above
-    pair of one that moves left.  Rows whose lengths are not a partition
-    can put the hole below a row too short to reach its column; reading
-    that row raises ValueError, which costs nothing on valid rows.
     """
     if v < 1:
         raise ValueError(f"entries must be positive, got {v}")
@@ -381,50 +266,17 @@ def _unslide(rows: list[list[int]], corner: tuple[int, int], v: int) -> None:
     else:
         lengths = ",".join(str(len(row)) for row in rows)
         raise ValueError(f"{(row, col)} is not an addable corner of shape ({lengths})")
-    e = -1  # the hole came up into row r at column e; -1 in the corner's row
-    x = 0  # the entry written before, into the cell the hole left
     row = rows[r]
-    below = rows[r + 1] if r + 1 < len(rows) else []
-    m, low = len(row), len(below)
-    while True:
-        if r:
-            above = rows[r - 1]
-            try:
-                y = above[c]
-            except IndexError:  # after an upward move; the corner check held
-                raise ValueError(_LENGTHS) from None
-            up = not (c and row[c - 1] > y)
-            if not up:
-                y = row[c - 1]
-        elif c:
-            y = row[c - 1]
-            up = False
+    while r or c:
+        # the larger of the upper and left neighbours moves in, the upper on ties
+        if r and not (c and row[c - 1] > rows[r - 1][c]):
+            r -= 1
+            row[c] = rows[r][c]
+            row = rows[r]
         else:
-            y = v
-            up = True
-        row[c] = y
-        if c == e:  # the hole came up; x was written below it
-            if x <= y:
-                raise ValueError(_COLUMNS)
-            if c + 1 < m and y > row[c + 1]:
-                raise ValueError(_ROWS)
-        elif c + 1 < m:  # the hole came from the right, where x was written
-            if y > x:
-                raise ValueError(_ROWS)
-            if c + 1 != e and c + 1 < low and below[c + 1] <= x:
-                raise ValueError(_COLUMNS)
-        x = y
-        if not up:
+            row[c] = row[c - 1]
             c -= 1
-            continue
-        if c != e and c < low and below[c] <= y:  # y's left pair is settled
-            raise ValueError(_COLUMNS)
-        if not r:
-            return
-        r -= 1
-        e = c
-        below, row = row, above
-        low, m = m, len(row)
+    row[0] = v
 
 
 def row_insert(t: Tableau, x: int) -> tuple[Tableau, BumpingRoute]:

@@ -33,14 +33,54 @@ from matchstat import (
     from_pairs,
     matching_to_oscillating,
     oscillating_to_matching,
+    parse_matching,
     parse_oscillating,
     row_insert,
     sample_uniform,
 )
+from matchstat.bijection import _unwalk
+from matchstat.tableaux import _insert, _slide
 
 from growth_oracle import growth_corners, transpose
 
 SIGMA = from_pairs([(1, 4), (2, 3), (5, 6)])
+
+
+# Defects of the in-place operations that keep the number of boxes right.
+def appends_6_to_row_2(rows, x):
+    # the 6 ends row 1 of [[4], [5]] at (1,2); appended to row 2 and
+    # reported there, at (2,2), it sits below a row of one box
+    if x != 6:
+        return _insert(rows, x)
+    rows[1].append(x)
+    return [1, 1]
+
+
+def stops_at_1_2(rows):
+    # the hole from (1,1) of [[5, 6], [7, 8]] ends at (2,2); stopped at
+    # (1,2), it leaves the 8 below it
+    if rows != [[5, 6], [7, 8]]:
+        return _slide(rows)
+    rows[:] = [[6], [7, 8]]
+    return 1, 2
+
+
+def drops_row_1(rows):
+    # deletes the row of the 3 from [[3], [4]] and reports (1,1), a column
+    # that the 4 below still reaches
+    if rows != [[3], [4]]:
+        return _slide(rows)
+    del rows[0]
+    return 1, 1
+
+
+def drops_row_2(rows):
+    # pops the last row of [[3], [4]], a corner, and leaves the 3, still
+    # the minimum when the 4 is due
+    if rows != [[3], [4]]:
+        return _slide(rows)
+    rows.pop()
+    return 2, 1
 
 
 def shapes_of(text):
@@ -76,6 +116,20 @@ class TestForwardMap:
         osc, _ = matching_to_oscillating(from_pairs([(1, 2)]))
         assert str(osc) == "();(1);()"
 
+    @pytest.mark.parametrize(
+        "matching, op, defect, message",
+        [
+            ("1-5,2-4,3-6", "_insert", appends_6_to_row_2, r"\(2, 2\) is not an addable"),
+            ("1-7,2-8,3-5,4-6", "_slide", stops_at_1_2, r"\(1, 2\) is not a removable"),
+            ("1-4,2-3,5-6", "_slide", drops_row_1, r"\(1, 1\) is not a removable"),
+            ("1-4,2-3,5-6", "_slide", drops_row_2, "4 is not the minimum"),
+        ],
+    )
+    def test_defect_checks_fire(self, monkeypatch, matching, op, defect, message):
+        monkeypatch.setattr(f"matchstat.bijection.{op}", defect)
+        with pytest.raises(RuntimeError, match="^defect: " + message):
+            matching_to_oscillating(parse_matching(matching))
+
     def test_trace_shapes_agree(self):
         for m in enumerate_matchings(3):
             osc, trace = matching_to_oscillating(m)
@@ -87,6 +141,11 @@ class TestInverseMap:
     def test_worked_example(self):
         t = shapes_of("();(1);(1,1);(1);();(1);()")
         assert oscillating_to_matching(t) == SIGMA
+
+    def test_end_check_fires(self):
+        # one removal undone at (1,1) leaves the 1 behind
+        with pytest.raises(RuntimeError, match="^defect: walk inversion left a nonempty"):
+            _unwalk([((1, 1), False)])
 
     def test_conjugate_shapes(self):
         t = shapes_of("();(1);(2);(1);();(1);()")

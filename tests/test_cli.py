@@ -187,6 +187,7 @@ class TestTableau:
             raise AssertionError("the forward map ran")
 
         monkeypatch.setattr("matchstat.cli.matching_to_oscillating", no_walk)
+        monkeypatch.setattr("matchstat.bijection._walk", no_walk)
         code, out, err = run(capsys, "tableau", "--matching", WIDE_TRACE)
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and f"trace cells={1449**2} exceeds" in err
@@ -460,6 +461,9 @@ WIDE_TRACE = ",".join(
 #: back, costing n^2 + 2n, the first nested matching past the walk budget.
 NESTED_WALK = ",".join(f"{i}-{2 * 2896 + 1 - i}" for i in range(1, 2897))
 
+#: Every n from 1 to 1000: each is admitted alone, the list is not.
+MGF_LIST = ",".join(map(str, range(1, 1001)))
+
 # Inputs that must end in a usage error (2) or a budget error (3), never a traceback.
 BAD_INPUTS = [
     (["mgf", "--n", "10", "--s", "1e6"], 2),  # exp overflows
@@ -488,6 +492,7 @@ BAD_INPUTS = [
     ([], 2),
     (["poly", "--n", "1001"], 3),
     (["mgf", "--n", "1001", "--s", "1"], 3),
+    (["mgf", "--n", MGF_LIST], 3),
     (["lemma41", "--n", "300000"], 3),
     (["clt", "--n", "2000000"], 3),
     (["tableau", "--random", "1", "--n", "2000000"], 3),
@@ -504,7 +509,10 @@ BAD_INPUTS = [
     "argv,expected",
     BAD_INPUTS,
     ids=[
-        " ".join(a).replace(WIDE_TRACE, "WIDE_TRACE").replace(NESTED_WALK, "NESTED_WALK")
+        " ".join(a)
+        .replace(WIDE_TRACE, "WIDE_TRACE")
+        .replace(NESTED_WALK, "NESTED_WALK")
+        .replace(MGF_LIST, "MGF_LIST")
         or "(none)"
         for a, _ in BAD_INPUTS
     ],

@@ -319,6 +319,28 @@ class TestMgf:
             assert e.abs_error == abs(e.mgf_value - e.target)
         assert entries[0].abs_error > entries[1].abs_error
 
+    def test_report_charges_its_distinct_n_before_any_value(self, monkeypatch):
+        # each distinct n costs (2n+1)(n+1)L limb updates, L = bitlen((2n-1)!!) // 32 + 1
+        work = sum(
+            (2 * n + 1) * (n + 1) * (double_factorial(2 * n - 1).bit_length() // 32 + 1)
+            for n in (5, 40, 300)
+        )
+        monkeypatch.setattr(distribution, "MGF_BUDGET", work)
+        assert len(mgf_convergence_report([5, 40, 300, 40], [1.0, 2.0])) == 8
+
+        def no_value(*args):
+            raise AssertionError("a value was computed")
+
+        monkeypatch.setattr(distribution, "mgf_Wn", no_value)
+        monkeypatch.setattr(distribution, "MGF_BUDGET", work - 1)
+        with pytest.raises(BudgetError, match=f"^coefficient work={work} exceeds"):
+            mgf_convergence_report([5, 40, 300, 40], [1.0])
+        # each n is checked alone first, in the order of the list
+        with pytest.raises(BudgetError, match="^n=1001 exceeds"):
+            mgf_convergence_report([5, 1001, 0], [1.0])
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            mgf_convergence_report([5, 0, 1001], [1.0])
+
 
 def decimal_series_factor(n: int, s: float) -> float:
     """The series factor summed term by term at 40 digits.

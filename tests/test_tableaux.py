@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from matchstat import (
     Box,
+    BumpingRoute,
     Partition,
     Tableau,
+    added_box,
     conjugate_partition,
     delete_min_and_slide,
     parse_partition,
@@ -67,6 +69,30 @@ class TestConjugate:
             q = conjugate_partition(p)
             assert q.size == p.size
             assert conjugate_partition(q) == p
+
+
+class TestAddedBox:
+    def test_new_row_and_longer_row(self):
+        assert added_box(Partition((2,)), Partition((2, 1))) == Box(2, 1)
+        assert added_box(Partition((2, 1)), Partition((2, 2))) == Box(2, 2)
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [((2,), (1, 1)), ((2,), (2, 2)), ((2,), (1, 1, 1)), ((2, 1), (3, 2)), ((2,), (2,))],
+    )
+    def test_rejects_shapes_not_one_box_apart(self, before, after):
+        with pytest.raises(ValueError, match="does not extend"):
+            added_box(Partition(before), Partition(after))
+
+
+class TestBumpingRouteValidation:
+    def test_rejects_malformed_routes(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            BumpingRoute((), Box(1, 1))
+        with pytest.raises(ValueError, match="consecutive from row 1"):
+            BumpingRoute((Box(1, 1), Box(3, 1)), Box(3, 1))
+        with pytest.raises(ValueError, match="last box"):
+            BumpingRoute((Box(1, 2), Box(2, 1)), Box(1, 2))
 
 
 class TestTableauValidation:
@@ -146,6 +172,9 @@ class TestReverseRowInsert:
             reverse_row_insert(Tableau(((3, 5), (4,))), Box(1, 1))
         with pytest.raises(ValueError, match="removable corner"):
             reverse_row_insert(Tableau(((3, 5), (4,))), Box(3, 1))
+        # the end of row 1, above a row as long
+        with pytest.raises(ValueError, match="removable corner"):
+            reverse_row_insert(Tableau(((3, 5), (4, 6))), Box(1, 2))
 
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=40))
     def test_round_trip(self, values):
@@ -212,10 +241,24 @@ class TestReverseSlide:
             reverse_slide_and_place_min(Tableau(((4,),)), Box(1, 3), 1)
         with pytest.raises(ValueError, match="addable"):
             reverse_slide_and_place_min(Tableau(((4,),)), Box(3, 1), 1)
+        # just below the last row, past a row as long, and in a row 0
+        with pytest.raises(ValueError, match="addable"):
+            reverse_slide_and_place_min(Tableau(((4,),)), Box(2, 2), 1)
+        with pytest.raises(ValueError, match="addable"):
+            reverse_slide_and_place_min(Tableau(((4, 5), (6, 7))), Box(2, 3), 1)
+        with pytest.raises(ValueError, match="addable"):
+            reverse_slide_and_place_min(Tableau(((4, 5), (6,))), Box(0, 2), 1)
 
     def test_rejects_non_minimal(self):
         with pytest.raises(ValueError, match="strictly smaller"):
             reverse_slide_and_place_min(Tableau(((4,),)), Box(1, 2), 4)
+        # below the last entry of row 1 and the first of row 2, not below the minimum
+        with pytest.raises(ValueError, match="strictly smaller"):
+            reverse_slide_and_place_min(Tableau(((2, 5), (6,))), Box(2, 2), 3)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="entries must be positive"):
+            reverse_slide_and_place_min(Tableau(((4,),)), Box(1, 2), 0)
 
     @given(st.sets(st.integers(1, 500), min_size=1, max_size=40))
     @settings(max_examples=150)
@@ -229,78 +272,9 @@ class TestReverseSlide:
 
 
 class TestLocalChecks:
-    """Each in-place operation checks the neighbour pairs of the cells it
-    writes.  Handed a working tableau that is out of order there, it must
-    raise; without the check each of these calls completes and returns
-    garbage."""
-
-    def test_insert(self):
-        rows = [[2], [1]]  # 1 lands at (1,1) above the 1 at (2,1)
-        with pytest.raises(ValueError, match="columns must be strictly increasing"):
-            _insert(rows, 1)
-
-    def test_unbump(self):
-        rows = [[1, 5], [2, 3]]  # 3 travels up to (1,1) above the 2 at (2,1)
-        with pytest.raises(ValueError, match="columns must be strictly increasing"):
-            _unbump(rows, Box(2, 2))
-
-    def test_slide(self):
-        rows = [[1, 3], [2], [2]]  # the 2 from (2,1) moves up above the other 2
-        with pytest.raises(ValueError, match="columns must be strictly increasing"):
-            _slide(rows)
-
-    def test_unslide(self):
-        rows = [[2, 3], [1]]  # v = 1 lands at (1,1) above the 1 at (2,1)
-        with pytest.raises(ValueError, match="columns must be strictly increasing"):
-            _unslide(rows, Box(1, 3), 1)
-
-    def test_row_order(self):
-        rows = [[1, 6, 3]]  # 5 bumps the 6 and lands left of the 3
-        with pytest.raises(ValueError, match="rows must be weakly increasing"):
-            _insert(rows, 5)
-
-    def test_row_lengths(self):
-        rows = [[1], [2, 3, 4]]  # the 2 moves up to (1,1) over a longer row
-        with pytest.raises(ValueError, match="row lengths must be weakly decreasing"):
-            _slide(rows)
-
-    def test_insert_append_above_longer_row(self):
-        rows = [[1], [2, 3]]  # 5 is appended at (1,2) above the 3 at (2,2)
-        with pytest.raises(ValueError, match="columns must be strictly increasing"):
-            _insert(rows, 5)
-
-    def test_unbump_consecutive_rows(self):
-        rows = [[1], [10], [10]]  # the 10s move up to (1,1) and (2,1)
-        with pytest.raises(ValueError, match="columns must be strictly increasing"):
-            _unbump(rows, Box(3, 1))
-
-    def test_unbump_no_smaller_entry(self):
-        rows = [[4, 5], [3]]  # nothing in row 1 is below 3: it lands on the 5
-        with pytest.raises(ValueError, match="rows must be weakly increasing"):
-            _unbump(rows, Box(2, 1))
-
-    def test_slide_row_length_left_of_the_hole(self):
-        rows = [[1, 2], [3, 4, 5, 6, 7]]  # the hole runs right in row 2 past row 1
-        with pytest.raises(ValueError, match="row lengths must be weakly decreasing"):
-            _slide(rows)
-
-    def test_slide_left_pair(self):
-        rows = [[1, 2, 9], [11, 7, 10]]  # the 10 moves left to (2,2), right of the 11
-        with pytest.raises(ValueError, match="rows must be weakly increasing"):
-            _slide(rows)
-
-    def test_unslide_right_pair(self):
-        rows = [[3, 1]]  # the 3 moves down; v = 2 lands at (1,1) left of the 1
-        with pytest.raises(ValueError, match="rows must be weakly increasing"):
-            _unslide(rows, Box(2, 1), 2)
-
-    def test_unslide_below_pair(self):
-        rows = [[5, 6], [7, 4]]  # the 5 moves right to (1,2) above the 4
-        with pytest.raises(ValueError, match="columns must be strictly increasing"):
-            _unslide(rows, Box(1, 3), 1)
-        rows = [[8], [1]]  # v = 2 lands at (1,1) above the 1
-        with pytest.raises(ValueError, match="columns must be strictly increasing"):
-            _unslide(rows, Box(1, 2), 2)
+    """The in-place operations check only their O(1) preconditions; the
+    corner tests name the shape they were given, even one that is not a
+    partition."""
 
     def test_unbump_corner_of_non_partition_rows(self):
         rows = [[2], [3, 4]]  # row lengths (1,2) are not a partition
@@ -386,63 +360,73 @@ class TestCornerForms:
             assert smaller.rows == tuple(map(tuple, after))
 
 
-@pytest.fixture(scope="module")
-def swept_rows():
-    return list(working_tableaux(99, 4000))
+def frozen(rows):
+    """The full check of a working tableau: Tableau(rows) raises unless it is one."""
+    return Tableau(tuple(map(tuple, rows)))
 
 
-def cells(rows):
-    """Every cell of the shape's bounding box and one row and column past it."""
-    width = max(map(len, rows), default=0)
-    return [(r, c) for r in range(1, len(rows) + 2) for c in range(1, width + 2)]
+OPERATIONS = ("insert", "unbump", "slide", "unslide")
 
 
-class TestCorruptedRows:
-    """Each in-place operation returns or raises ValueError, and nothing
-    else, on working rows that are not a tableau, whatever its argument."""
-
-    # the hole moves up into a row whose upper neighbour is shorter than
-    # the hole's column: rows 3 and 4 of the first case have lengths 1, 2
-    @pytest.mark.parametrize(
-        "rows,corner",
-        [
-            (
-                [[3, 5, 6, 14, 34, 40], [10, 13, 20, 25, 40], [20], [28, 39], [35]],
-                (5, 2),
-            ),
-            (
-                [[2, 4, 11, 14, 18], [14, 19, 25, 33], [20, 29, 31], [27], [32, 40], [34]],
-                (6, 2),
-            ),
-        ],
-    )
-    def test_unslide_hole_below_a_shorter_row(self, rows, corner):
-        with pytest.raises(ValueError, match="row lengths must be weakly decreasing"):
-            _unslide(rows, corner, 1)
-
-    @staticmethod
-    def assert_returns_or_raises_value_error(op, rows, *args):
-        _, result = outcome(op, rows, *args)
-        assert result[0] == "returned" or result[1] is ValueError, (rows, args, result)
-
-    def test_every_corner_returns_or_raises_value_error(self, swept_rows):
-        for rows in swept_rows:
-            for cell in cells(rows):
-                self.assert_returns_or_raises_value_error(_unslide, rows, cell, 1)
-
-    def test_insert_returns_or_raises_value_error(self, swept_rows):
-        for rows in swept_rows:
-            for x in range(1, 43):
-                self.assert_returns_or_raises_value_error(_insert, rows, x)
-
-    def test_slide_returns_or_raises_value_error(self, swept_rows):
-        for rows in swept_rows:
-            self.assert_returns_or_raises_value_error(_slide, rows)
-
-    def test_unbump_returns_or_raises_value_error(self, swept_rows):
-        for rows in swept_rows:
-            for cell in cells(rows):
-                self.assert_returns_or_raises_value_error(_unbump, rows, cell)
+def test_long_seeded_chain_on_one_working_tableau():
+    """Insertions, reverse insertions, slides and reverse slides, in a
+    seeded order, on one working tableau with repeated entries.  After each
+    one the full check accepts the rows, the operation's corner is the box
+    ``added_box`` finds between the two shapes, and the inverse operation,
+    run on a copy, restores the rows before it and the value."""
+    rng = random.Random(27)
+    rows = []
+    counts = dict.fromkeys((*OPERATIONS, "slide undone"), 0)
+    for _ in range(4000):
+        before = [list(row) for row in rows]
+        shape = frozen(rows).shape
+        op = rng.choice(OPERATIONS if rows else ("insert", "unslide"))
+        if op == "unslide" and rows and rows[0][0] == 1:  # no smaller value left
+            op = "insert"
+        if op == "insert":
+            x = rng.randint(2, 12)
+            cols = _insert(rows, x)
+            box = added_box(shape, frozen(rows).shape)
+            assert box == (len(cols), cols[-1] + 1)
+            undone = [list(row) for row in rows]
+            assert _unbump(undone, box) == x and undone == before
+        elif op == "unbump":
+            corner = rng.choice(
+                [
+                    (r + 1, len(rows[r]))
+                    for r in range(len(rows))
+                    if r + 1 == len(rows) or len(rows[r + 1]) < len(rows[r])
+                ]
+            )
+            value = _unbump(rows, corner)
+            assert added_box(frozen(rows).shape, shape) == corner
+            redone = [list(row) for row in rows]
+            cols = _insert(redone, value)
+            assert redone == before and (len(cols), cols[-1] + 1) == corner
+        elif op == "slide":
+            v = rows[0][0]
+            corner = _slide(rows)
+            assert added_box(frozen(rows).shape, shape) == corner
+            if not rows or rows[0][0] > v:
+                undone = [list(row) for row in rows]
+                _unslide(undone, corner, v)
+                assert undone == before
+                counts["slide undone"] += 1
+        else:
+            corners = [
+                (r + 1, len(rows[r]) + 1)
+                for r in range(len(rows))
+                if r == 0 or len(rows[r - 1]) > len(rows[r])
+            ] + [(len(rows) + 1, 1)]
+            corner = rng.choice(corners)
+            v = rng.randint(1, rows[0][0] - 1 if rows else 12)
+            _unslide(rows, corner, v)
+            assert added_box(shape, frozen(rows).shape) == corner
+            assert rows[0][0] == v
+            undone = [list(row) for row in rows]
+            assert _slide(undone) == corner and undone == before
+        counts[op] += 1
+    assert min(counts.values()) >= 200, counts
 
 
 def route_strictly_left(r1, r2):
