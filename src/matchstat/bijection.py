@@ -12,10 +12,10 @@ the inverse run the moves on one working tableau, changed in place.
 Conjugating a shape transposes its diagram, so the conjugate walk swaps
 row and column in every move; ``conjugate_matching`` never leaves that
 form.  Every other view (a walk's ``Partition`` shapes and ``TraceStep``
-steps, a trace's tableaux) is built on first read, save that
-``tableau --matching`` takes a trace's tableaux from the forward map's
-own pass.  The forward map charges each move its work and refuses a
-walk past WALK_BUDGET.
+steps, a trace's walk and tableaux) is built on first read; a trace is
+built from its matching alone, and reading its tableaux first keeps its
+walk from the same pass.  The forward map charges each move its work and
+refuses a walk past WALK_BUDGET.
 
 Each walk is checked once.  A walk from outside, such as
 ``parse_oscillating``'s, is checked by ``OscillatingTableau(shapes)``: it
@@ -191,27 +191,23 @@ def parse_oscillating(text: str) -> OscillatingTableau:
     )
 
 
-def _check_trace(m: Matching) -> None:
-    """Raise BudgetError if the trace of ``m`` holds more than TRACE_BUDGET cells."""
-    cells = sum(accumulate(1 if i < j else -1 for i, j in enumerate(m.partner, 1)))
-    if cells > TRACE_BUDGET:
-        raise BudgetError("trace cells", cells, TRACE_BUDGET)
-
-
 class BijectionTrace:
     """A matching's walk alongside its working tableaux P_0..P_{2n}.
 
-    A trace holds the matching and its walk, whose ``steps`` it returns.
-    Its tableaux are the forward map's working tableau, frozen unchecked
-    after every step.  Their cells are counted first, from the matching
-    alone, and BudgetError is raised above TRACE_BUDGET.
+    Built from the matching alone.  The forward map builds the walk,
+    whose ``steps`` it returns, and the tableaux, its working tableau
+    frozen unchecked after every step, on first read.  The tableaux count
+    their cells from the matching first, raising BudgetError above
+    TRACE_BUDGET; their pass keeps the walk too, so it runs only once.
     """
 
-    def __init__(self, matching: Matching, steps: tuple[TraceStep, ...]) -> None:
-        if len(steps) != len(matching.partner):
-            raise ValueError("need one step per letter of the matching")
+    def __init__(self, matching: Matching) -> None:
         self._matching = matching
-        self._walk = OscillatingTableau._from_moves(steps)
+
+    @cached_property
+    def _walk(self) -> OscillatingTableau:
+        # the module's _walk: a function body does not see class names
+        return OscillatingTableau._from_moves(_walk(self._matching))
 
     @property
     def steps(self) -> tuple[TraceStep, ...]:
@@ -219,7 +215,14 @@ class BijectionTrace:
 
     @cached_property
     def tableaux(self) -> tuple[Tableau, ...]:
-        return _traced(self._matching)[1].tableaux
+        partner = self._matching.partner
+        cells = sum(accumulate(1 if i < j else -1 for i, j in enumerate(partner, 1)))
+        if cells > TRACE_BUDGET:
+            raise BudgetError("trace cells", cells, TRACE_BUDGET)
+        tableaux: list[Tableau] = []
+        moves = _walk(self._matching, tableaux)
+        vars(self).setdefault("_walk", OscillatingTableau._from_moves(moves))
+        return tuple(tableaux)
 
 
 def _walk(m: Matching, tableaux: list[Tableau] | None = None) -> list[Move]:
@@ -296,20 +299,8 @@ def _transpose(steps) -> list[Move]:
 
 def matching_to_oscillating(m: Matching) -> tuple[OscillatingTableau, BijectionTrace]:
     """Map a matching to its shape walk, keeping the full trace."""
-    walk = OscillatingTableau._from_moves(_walk(m))
-    return walk, _unchecked(BijectionTrace, _matching=m, _walk=walk)
-
-
-def _traced(m: Matching) -> tuple[OscillatingTableau, BijectionTrace]:
-    """``matching_to_oscillating`` with the trace's tableaux, in one pass.
-
-    Raises BudgetError above TRACE_BUDGET before the forward map runs.
-    """
-    _check_trace(m)
-    tableaux: list[Tableau] = []
-    walk = OscillatingTableau._from_moves(_walk(m, tableaux))
-    trace = _unchecked(BijectionTrace, _matching=m, _walk=walk, tableaux=tuple(tableaux))
-    return walk, trace
+    trace = BijectionTrace(m)
+    return trace._walk, trace
 
 
 def oscillating_to_matching(t: OscillatingTableau) -> Matching:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from itertools import pairwise
 
 from .bijection import (
-    _traced,
+    BijectionTrace,
     conjugate_matching,
     matching_to_oscillating,
     oscillating_to_matching,
@@ -30,6 +30,7 @@ from .distribution import (
     ENUMERATION_BUDGET,
     BudgetError,
     MgfEntry,
+    _check_series_list,
     clt_experiment,
     mgf_convergence_report,
     mgf_series_factor,
@@ -242,8 +243,9 @@ def cmd_tableau(args) -> Report:
         )
 
     m = parse_matching(args.matching)
-    osc, trace = _traced(m)  # the trace budget is checked before the forward map
-    tableaux = trace.tableaux
+    trace = BijectionTrace(m)
+    tableaux = trace.tableaux  # the trace budget, then one pass that keeps the walk
+    osc = trace._walk
     round_trip = oscillating_to_matching(osc) == m
     shapes = str(osc)
     payload = {
@@ -328,6 +330,7 @@ def cmd_mgf(args) -> Report:
 
 def cmd_lemma41(args) -> Report:
     _check_increasing(args.n)
+    _check_series_list(args.n, args.s)
     columns = ("n", "value", "lower_bound", "gap_to_limit")
     rows = []
     for n in args.n:

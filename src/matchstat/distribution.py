@@ -46,12 +46,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .matchings import (
     ENUMERATION_BUDGET,
     BudgetError,
     _check_draws,
+    _check_n,
     _partners,
     _unchecked,
     closed_form_moments,
@@ -85,15 +86,26 @@ __all__ = [
 #: Largest n for which exact coefficients are computed on demand.
 COEFFICIENT_BUDGET = 1000
 
-#: Largest cold-coefficient work of one MGF report, summed over its distinct
-#: n: the (2n+1)(n+1)L limb updates of ``_difference``, L = bitlen((2n-1)!!)
-#: // 32 + 1, cached or not.  n = 1000 alone costs 5.97e8; the slowest
-#: request within it, ``mgf --n 1,2,...,363``, takes about 3 s and 35 MB on
-#: one core of a 2-vCPU VM.
+#: Largest work of one MGF report, in limb updates: each distinct n costs
+#: the (2n+1)(n+1)L of its cold coefficients in ``_difference``, L =
+#: bitlen((2n-1)!!) // 32 + 1, cached or not, and each (n, s) value its
+#: 2n - 1 exponentials at _EXP_WORK each.  n = 1000 at one s costs 5.99e8;
+#: the costliest request found within it, ``mgf --n 1,2,...,358``, takes
+#: about 2.7 s and 35 MB on one core of a 2-vCPU VM.
 MGF_BUDGET = 2**31
+
+#: Limb updates charged for one exponential of an MGF value: about its
+#: time, call included, at n = 1, and about three times it at n = 1000.
+_EXP_WORK = 1024
 
 #: Largest n + (number of terms) one pass of the MGF series factor may take.
 SERIES_BUDGET = 2**22
+
+#: Largest sum over a list of series factors of n + (terms of the first
+#: pass built), charged before the first is computed.  The costliest
+#: request found within it, ``lemma41 --n 1,2,...,5621 --s 100``, takes
+#: about 4.4 s and 37 MB on one core of a 2-vCPU VM.
+_SERIES_LIST_BUDGET = 2**25
 
 _TARGET_VAR = 1.0 / 6.0
 
@@ -117,8 +129,7 @@ class DescentPolynomial:
 
 def polynomial_by_enumeration(n: int) -> DescentPolynomial:
     """Exact descent-count histogram over all (2n-1)!! matchings."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_n(n)
     if n > ENUMERATION_BUDGET:
         raise BudgetError("n", n, ENUMERATION_BUDGET)
     coeffs = [0] * (2 * n)
@@ -239,8 +250,7 @@ def polynomial_by_gf(n: int) -> DescentPolynomial:
     Raises BudgetError for n > COEFFICIENT_BUDGET, as does every function
     built on these coefficients.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_n(n)
     return _unchecked(DescentPolynomial, n=n, coeffs=_gf_coeffs(n))
 
 
@@ -273,8 +283,7 @@ def exact_distribution(n: int) -> list[tuple[int, Fraction]]:
     value at 2n - m by the palindrome.  Raises BudgetError for
     n > COEFFICIENT_BUDGET before (2n-1)!! is built.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_n(n)
     return list(_mirrored_law(n, Fraction))
 
 
@@ -285,8 +294,7 @@ def mgf_Wn(n: int, s: float) -> float:
     taken by integer division without forming a Fraction, and the
     weighted exponentials are summed with math.fsum.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_n(n)
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
     sqrt_n = math.sqrt(n)
@@ -318,21 +326,27 @@ def mgf_convergence_report(
     half, so the terms of mgf_Wn(n, -s) are those of mgf_Wn(n, s) with m
     reflected to 2n - m, and math.fsum, being correctly rounded, returns
     the same value for both.  Before the first value, raises ValueError
-    for an n below 1, BudgetError for one above COEFFICIENT_BUDGET, in the
-    order of the list, then BudgetError when the distinct n cost more
-    than MGF_BUDGET in all.
+    for an n that is not an integer >= 1, BudgetError for one above
+    COEFFICIENT_BUDGET, in the order of the list, then BudgetError when
+    the request costs more than MGF_BUDGET in all: the cold-coefficient
+    work of each distinct n, and _EXP_WORK for each of the 2n - 1
+    exponentials of each (n, s) value.
     """
-    work = 0
-    for n in dict.fromkeys(n_list):
-        if n < 1:
-            raise ValueError("n must be >= 1")
+    ns = []
+    for n in n_list:
+        n = _check_n(n)
         if n > COEFFICIENT_BUDGET:
             raise BudgetError("n", n, COEFFICIENT_BUDGET)
-        work += (2 * n + 1) * (n + 1) * (double_factorial(2 * n - 1).bit_length() // 32 + 1)
+        ns.append(n)
+    work = sum(
+        (2 * n + 1) * (n + 1) * (double_factorial(2 * n - 1).bit_length() // 32 + 1)
+        for n in set(ns)
+    )
+    work += _EXP_WORK * len(s_list) * sum(2 * n - 1 for n in ns)
     if work > MGF_BUDGET:
-        raise BudgetError("coefficient work", work, MGF_BUDGET)
+        raise BudgetError("mgf work", work, MGF_BUDGET)
     entries = []
-    for n in n_list:
+    for n in ns:
         for s in s_list:
             value = mgf_Wn(n, s)
             target = math.exp(s * s / 12.0)
@@ -358,6 +372,45 @@ def _log_gamma_ratio(x: np.ndarray, n: int) -> np.ndarray:
     out += _stirling_tail(x + n)
     out -= _stirling_tail(x)
     return out
+
+
+def _series_logs(n: int, s: float) -> tuple[int, float, float, float]:
+    """The checked n, then decay s/sqrt(n) and the log prefactor and log
+    scale of the series factor; ValueError unless 0 < s < inf."""
+    n = _check_n(n)
+    if not 0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite, got {s}")
+    log_prefactor = (2 * n + 1) * (math.log(s) - 0.5 * math.log(n)) - math.lgamma(
+        2 * n + 1
+    )
+    return n, s / math.sqrt(n), log_prefactor, log_prefactor + n * math.log(2.0)
+
+
+def _series_passes(n: int, decay: float, log_scale: float) -> Iterator[int]:
+    """The last k of each pass of the series factor left to build, in order.
+
+    The number of terms doubles from 1024; a pass that cannot end is
+    skipped.  Raises BudgetError once a pass, taken or skipped, would
+    have n + terms above SERIES_BUDGET.
+    """
+    k_hi = 512
+    while True:
+        k_hi *= 2
+        if n + k_hi > SERIES_BUDGET:
+            raise BudgetError("n+terms", n + k_hi, SERIES_BUDGET)
+        # A pass cannot end if its last term, from one scalar lgamma
+        # difference (off by far less than 1 nat), lies at -39 nats or
+        # above.  Nor can it while the terms rise: d/dk sum_j log(k^2+k+2j)
+        # >= n(2k+1)/(k^2+k+2n-2), and n(2k+1) - decay(k^2+k+2n-2) is a
+        # quadratic in k, positive at k = 1 exactly when decay < 3/2, so
+        # positive on an interval [1, k2) that holds k_hi here.
+        x = (k_hi * k_hi + k_hi) / 2
+        last = log_scale + math.lgamma(x + n) - math.lgamma(x) - decay * k_hi
+        if last < -39.0 and not (
+            decay < 1.5
+            and n * (2 * k_hi + 1) > decay * (k_hi * k_hi + k_hi + 2 * n - 2)
+        ):
+            yield k_hi
 
 
 def mgf_series_factor(n: int, s: float) -> float:
@@ -386,36 +439,11 @@ def mgf_series_factor(n: int, s: float) -> float:
     """
     import numpy as np
 
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 < s < math.inf:
-        raise ValueError(f"s must be positive and finite, got {s}")
-    decay = s / math.sqrt(n)
-    log_prefactor = (2 * n + 1) * (math.log(s) - 0.5 * math.log(n)) - math.lgamma(
-        2 * n + 1
-    )
-    log_scale = log_prefactor + n * math.log(2.0)
+    n, decay, log_prefactor, log_scale = _series_logs(n, s)
     chunks: list[np.ndarray] = []  # the log terms of k = 1 .. k_lo - 1
     peak = -math.inf
     k_lo = 4
-    k_hi = 512
-    while True:
-        k_hi *= 2
-        if n + k_hi > SERIES_BUDGET:
-            raise BudgetError("n+terms", n + k_hi, SERIES_BUDGET)
-        # A pass cannot end if its last term, from one scalar lgamma
-        # difference (off by far less than 1 nat), lies at -39 nats or
-        # above.  Nor can it while the terms rise: d/dk sum_j log(k^2+k+2j)
-        # >= n(2k+1)/(k^2+k+2n-2), and n(2k+1) - decay(k^2+k+2n-2) is a
-        # quadratic in k, positive at k = 1 exactly when decay < 3/2, so
-        # positive on an interval [1, k2) that holds k_hi here.
-        x = (k_hi * k_hi + k_hi) / 2
-        last = log_scale + math.lgamma(x + n) - math.lgamma(x) - decay * k_hi
-        if last >= -39.0 or (
-            decay < 1.5
-            and n * (2 * k_hi + 1) > decay * (k_hi * k_hi + k_hi + 2 * n - 2)
-        ):
-            continue
+    for k_hi in _series_passes(n, decay, log_scale):
         if not chunks:  # k = 0 adds nothing: its j = 0 factor vanishes
             two_j = 2.0 * np.arange(n, dtype=np.float64)
             head = [
@@ -444,6 +472,22 @@ def mgf_series_factor(n: int, s: float) -> float:
         raise OverflowError(
             f"exp overflow evaluating the series factor at n={n}, s={s}"
         ) from None
+
+
+def _check_series_list(n_list: Sequence[int], s: float) -> None:
+    """Refuse a list of series factors at one s before any array is built.
+
+    Each n is checked in the order of the list as mgf_series_factor checks
+    it, its refusals included, and is charged n plus the terms of the
+    first pass it would build, the least it costs.  Raises BudgetError
+    when the charges sum above _SERIES_LIST_BUDGET.
+    """
+    work = 0
+    for n in n_list:
+        n, decay, _, log_scale = _series_logs(n, s)
+        work += n + next(_series_passes(n, decay, log_scale))
+    if work > _SERIES_LIST_BUDGET:
+        raise BudgetError("series work", work, _SERIES_LIST_BUDGET)
 
 
 def _normal_cdf(x: float, sigma: float) -> float:
@@ -475,8 +519,7 @@ def exact_ks_distance(n: int) -> float:
     exact law, and both one-sided gaps are measured at every atom, so
     this is the true supremum distance; there is no sampling noise.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_n(n)
     atoms, masses = zip(*_exact_floats(n))
     return _lattice_ks(n, zip(atoms, accumulate(masses)))
 
@@ -550,8 +593,7 @@ def clt_experiment(
     """
     import numpy as np
 
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_n(n)
     if num_samples < 2:
         raise ValueError("num_samples must be >= 2")
     _check_draws(n, seed, 0, num_samples)

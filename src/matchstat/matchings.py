@@ -6,12 +6,15 @@ enumeration, uniform sampling with reproducible (seed, stream)
 addressing, and the descent/major-index moments both in closed form and
 by exhaustive brute force.  All moments are exact `fractions.Fraction`
 values; the brute-force report is the oracle for the closed forms.
-Every request for draws, here or in the modules built on this one,
-passes one check (_check_draws) before its first draw.
+Each outside value is checked in one place, here or in the modules
+built on this one: a size n by _check_n (ValueError unless n is an
+integer >= 1; 2.5 and 2.0 are not), a request for draws by _check_draws.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator
@@ -77,18 +80,33 @@ def _unchecked(cls, **fields):
     return obj
 
 
+def _integer(value) -> int | None:
+    # operator.index takes exactly the integers: int, bool, numpy integers
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _check_n(n) -> int:
+    """n as an int; ValueError unless n is an integer, then unless n >= 1."""
+    size = _integer(n)
+    if size is None:
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if size < 1:
+        raise ValueError("n must be >= 1")
+    return size
+
+
 def double_factorial(m: int) -> int:
     """Product m * (m-2) * ... * 1 for odd m, with (-1)!! = 1.
 
-    For m = 2n - 1 this counts the matchings of S_{2n}.
+    For m = 2n - 1 this counts the matchings of S_{2n}; 5.0 is refused.
     """
-    if m < -1 or m % 2 == 0:
+    k = _integer(m)
+    if k is None or k < -1 or k % 2 == 0:
         raise ValueError(f"double factorial needs an odd integer >= -1, got {m}")
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+    return math.prod(range(k, 1, -2))
 
 
 @dataclass(frozen=True)
@@ -207,8 +225,7 @@ def enumerate_matchings(n: int) -> Iterator[Matching]:
     larger unmatched letter in increasing order, recursively.  Yields
     (2n-1)!! matchings.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_n(n)
     partner = [0] * (2 * n)
 
     def fill(unmatched: tuple[int, ...]) -> Iterator[Matching]:
@@ -233,18 +250,18 @@ def _check_draws(n: int, seed: int, start: int, stop: int, per_letter: int = 1) 
     order: BudgetError for n > SAMPLE_BUDGET, then BudgetError for a draw
     cost (stop - start) * max(2n, 1024) * per_letter above DRAW_BUDGET (a
     caller that does more than draw charges ``per_letter`` for each
-    letter), then ValueError unless 0 <= seed < 2^64 and start >= 0.
-    The draws themselves trust seed and every stream of the range.
+    letter), then ValueError unless 0 <= seed < 2^64 and start >= 0 are
+    integers.  The draws themselves trust seed and every stream.
     """
     if n > SAMPLE_BUDGET:
         raise BudgetError("n", n, SAMPLE_BUDGET)
     cost = (stop - start) * max(2 * n, _DRAW_FLOOR) * per_letter
     if cost > DRAW_BUDGET:
         raise BudgetError("draw cost", cost, DRAW_BUDGET)
-    if not 0 <= seed <= _UINT64_MAX:
+    if _integer(seed) is None or not 0 <= seed <= _UINT64_MAX:
         raise ValueError("seed must be an unsigned 64-bit integer")
-    if start < 0:
-        raise ValueError("stream must be non-negative")
+    if _integer(start) is None or start < 0:
+        raise ValueError("stream must be a non-negative integer")
 
 
 #: Streams whose PCG64 states _partners computes in one pass.
@@ -389,10 +406,9 @@ def sample_uniform(n: int, seed: int, stream: int = 0) -> Matching:
     fixed (seed, stream) and distinct streams are independent: callers
     may parallelize by assigning one stream per draw.  Raises
     BudgetError for n > SAMPLE_BUDGET, then ValueError unless
-    0 <= seed < 2^64 and stream >= 0 (see _check_draws).
+    0 <= seed < 2^64 and stream >= 0 are integers (see _check_draws).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_n(n)
     _check_draws(n, seed, stream, stream + 1)
     # unpacking runs the generators to their end: closing them while
     # suspended, as next() would leave them, costs about 1 us per draw
@@ -460,8 +476,7 @@ def closed_form_moments(n: int) -> MomentReport:
     position pairs there.  The exact coefficients are checked against
     var_d at every n >= 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_n(n)
     invalid = set()
     if n < 3:
         invalid.add("p_joint_adjacent")
@@ -495,8 +510,7 @@ def brute_force_moments(n: int) -> MomentReport:
     each kind; cost grows as (2n-1)!!, so n above ENUMERATION_BUDGET
     raises BudgetError before the first matching.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_n(n)
     if n > ENUMERATION_BUDGET:
         raise BudgetError("n", n, ENUMERATION_BUDGET)
     count = 0

@@ -592,13 +592,14 @@ class TestLazyTrace:
         _, trace = matching_to_oscillating(SIGMA)
         assert trace.tableaux is trace.tableaux
 
-    def test_constructed_from_matching_and_steps(self):
+    def test_constructed_from_the_matching_alone(self):
         osc, trace = matching_to_oscillating(SIGMA)
-        direct = BijectionTrace(SIGMA, osc.steps)
-        assert direct.steps == trace.steps
-        assert direct.tableaux == trace.tableaux
-        with pytest.raises(ValueError, match="one step per letter"):
-            BijectionTrace(SIGMA, osc.steps[:-1])
+        for first in ("steps", "tableaux"):
+            direct = BijectionTrace(SIGMA)
+            getattr(direct, first)
+            assert direct.steps == trace.steps == osc.steps
+            assert direct.tableaux == trace.tableaux
+            assert direct._walk == osc
 
 
 class TestTraceBudget:

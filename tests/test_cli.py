@@ -192,6 +192,23 @@ class TestTableau:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and f"trace cells={1449**2} exceeds" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_forward_map_runs_once(self, capsys, monkeypatch, fmt):
+        import matchstat.bijection as bijection
+
+        calls = {"_insert": 0, "_slide": 0}
+        for name in calls:
+
+            def counted(*args, _op=getattr(bijection, name), _name=name):
+                calls[_name] += 1
+                return _op(*args)
+
+            monkeypatch.setattr(bijection, name, counted)
+        m = sample_uniform(50, 11, stream=0)
+        code, _, _ = run(capsys, "tableau", "--matching", str(m), "--format", fmt)
+        assert code == 0
+        assert calls == {"_insert": 50, "_slide": 50}
+
     def test_random_requires_n(self, capsys):
         code, _, _ = run(capsys, "tableau", "--random", "5")
         assert code == 2
@@ -464,6 +481,12 @@ NESTED_WALK = ",".join(f"{i}-{2 * 2896 + 1 - i}" for i in range(1, 2897))
 #: Every n from 1 to 1000: each is admitted alone, the list is not.
 MGF_LIST = ",".join(map(str, range(1, 1001)))
 
+#: 18000 values of s, each admitted alone at n = 1000, the list not.
+MGF_S_LIST = ",".join(f"{k / 10000:g}" for k in range(1, 18001))
+
+#: Every n from 1 to 9897: each is admitted alone, the list is not.
+LEMMA41_LIST = ",".join(map(str, range(1, 9898)))
+
 # Inputs that must end in a usage error (2) or a budget error (3), never a traceback.
 BAD_INPUTS = [
     (["mgf", "--n", "10", "--s", "1e6"], 2),  # exp overflows
@@ -493,6 +516,8 @@ BAD_INPUTS = [
     (["poly", "--n", "1001"], 3),
     (["mgf", "--n", "1001", "--s", "1"], 3),
     (["mgf", "--n", MGF_LIST], 3),
+    (["mgf", "--n", "1000", "--s", MGF_S_LIST], 3),
+    (["lemma41", "--n", LEMMA41_LIST], 3),
     (["lemma41", "--n", "300000"], 3),
     (["clt", "--n", "2000000"], 3),
     (["tableau", "--random", "1", "--n", "2000000"], 3),
@@ -513,6 +538,8 @@ BAD_INPUTS = [
         .replace(WIDE_TRACE, "WIDE_TRACE")
         .replace(NESTED_WALK, "NESTED_WALK")
         .replace(MGF_LIST, "MGF_LIST")
+        .replace(MGF_S_LIST, "MGF_S_LIST")
+        .replace(LEMMA41_LIST, "LEMMA41_LIST")
         or "(none)"
         for a, _ in BAD_INPUTS
     ],

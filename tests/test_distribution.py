@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import asdict
 from decimal import Decimal, localcontext
@@ -22,6 +23,7 @@ from matchstat import (
     clt_experiment,
     descent_stats,
     double_factorial,
+    enumerate_matchings,
     exact_distribution,
     exact_ks_distance,
     mgf_convergence_report,
@@ -35,6 +37,7 @@ from matchstat import distribution
 from matchstat.cli import main
 from matchstat.distribution import (
     _check_moments,
+    _check_series_list,
     _descent_counts_range,
     _difference,
     _normal_cdf,
@@ -320,21 +323,28 @@ class TestMgf:
         assert entries[0].abs_error > entries[1].abs_error
 
     def test_report_charges_its_distinct_n_before_any_value(self, monkeypatch):
-        # each distinct n costs (2n+1)(n+1)L limb updates, L = bitlen((2n-1)!!) // 32 + 1
+        # each distinct n costs (2n+1)(n+1)L limb updates, L = bitlen((2n-1)!!) // 32 + 1,
+        # and each (n, s) value 1024 for each of its 2n - 1 exponentials
+        n_list, s_list = [5, 40, 300, 40], [1.0, 2.0]
         work = sum(
             (2 * n + 1) * (n + 1) * (double_factorial(2 * n - 1).bit_length() // 32 + 1)
             for n in (5, 40, 300)
-        )
+        ) + 1024 * len(s_list) * sum(2 * n - 1 for n in n_list)
         monkeypatch.setattr(distribution, "MGF_BUDGET", work)
-        assert len(mgf_convergence_report([5, 40, 300, 40], [1.0, 2.0])) == 8
+        assert len(mgf_convergence_report(n_list, s_list)) == 8
 
         def no_value(*args):
             raise AssertionError("a value was computed")
 
         monkeypatch.setattr(distribution, "mgf_Wn", no_value)
         monkeypatch.setattr(distribution, "MGF_BUDGET", work - 1)
-        with pytest.raises(BudgetError, match=f"^coefficient work={work} exceeds"):
-            mgf_convergence_report([5, 40, 300, 40], [1.0])
+        with pytest.raises(BudgetError, match=f"^mgf work={work} exceeds"):
+            mgf_convergence_report(n_list, s_list)
+        # one more s costs 1024 (2n - 1) more for every listed n
+        more = 1024 * sum(2 * n - 1 for n in n_list)
+        monkeypatch.setattr(distribution, "MGF_BUDGET", work + more - 1)
+        with pytest.raises(BudgetError, match=f"^mgf work={work + more} exceeds"):
+            mgf_convergence_report(n_list, [*s_list, 3.0])
         # each n is checked alone first, in the order of the list
         with pytest.raises(BudgetError, match="^n=1001 exceeds"):
             mgf_convergence_report([5, 1001, 0], [1.0])
@@ -492,6 +502,42 @@ class TestSeriesFactor:
         monkeypatch.setattr("numpy.arange", no_arrays)
         with pytest.raises(BudgetError, match=r"n\+terms=4214304 "):
             mgf_series_factor(20000, 1.0)
+
+    def test_list_charged_its_first_passes_before_any_array(self, monkeypatch):
+        # each n is charged n plus the terms of the first pass it builds: its
+        # first array of Stirling terms, k = 4 .. k_hi, and k = 1 .. 3; at
+        # s = 0.1, n = 3 builds a second pass, which is not charged
+        n_list = [3, 25, 100]
+        built = []
+
+        def counted(x, n):
+            built.append((n, len(x) + 3))  # k_hi on a first pass
+            return log_gamma_ratio(x, n)
+
+        log_gamma_ratio = distribution._log_gamma_ratio
+        monkeypatch.setattr(distribution, "_log_gamma_ratio", counted)
+        for n in n_list:
+            mgf_series_factor(n, 0.1)
+        assert [n for n, _ in built].count(3) == 2
+        first = dict(reversed(built))
+        charge = sum(n + first[n] for n in n_list)
+        monkeypatch.setattr(distribution, "_SERIES_LIST_BUDGET", charge)
+        _check_series_list(n_list, 0.1)
+
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("an array was built")
+
+        monkeypatch.setattr("numpy.arange", no_arrays)
+        monkeypatch.setattr(distribution, "_SERIES_LIST_BUDGET", charge - 1)
+        with pytest.raises(BudgetError, match=f"^series work={charge} exceeds"):
+            _check_series_list(n_list, 0.1)
+        # each n is checked alone first, in the order of the list
+        with pytest.raises(BudgetError, match=r"^n\+terms=4214304 "):
+            _check_series_list([25, 20000, 0], 1.0)
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            _check_series_list([25, 0, 20000], 1.0)
+        with pytest.raises(ValueError, match="^s must be positive and finite"):
+            _check_series_list([25], -1.0)
 
     # sha256 of repr of the values, n outermost, computed before passes
     # were pre-checked in scalar floats
@@ -760,11 +806,56 @@ SIZED_ENTRY_POINTS = {
     "sample_uniform": lambda n: sample_uniform(n, 1),
     "closed_form_moments": closed_form_moments,
     "brute_force_moments": brute_force_moments,
+    "clt_experiment": lambda n: clt_experiment(n, 2, 1),
+    "enumerate_matchings": lambda n: list(enumerate_matchings(n)),
+    "mgf_convergence_report": lambda n: mgf_convergence_report([n], [1.0]),
 }
 
 
-@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, "3"])
 @pytest.mark.parametrize("entry", SIZED_ENTRY_POINTS)
 def test_refuses_n_below_one(entry, n):
-    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+    # one check refuses every size: first a non-integer, then n < 1
+    if isinstance(n, int):
+        message = r"^n must be >= 1$"
+    else:
+        message = rf"^n must be an integer, got {re.escape(repr(n))}$"
+    with pytest.raises(ValueError, match=message):
         SIZED_ENTRY_POINTS[entry](n)
+
+
+@pytest.mark.parametrize("entry", SIZED_ENTRY_POINTS)
+def test_accepts_integer_n_of_any_type(entry):
+    at_three = SIZED_ENTRY_POINTS[entry](3)
+    for n in (np.int64(3), np.uint16(3)):
+        assert SIZED_ENTRY_POINTS[entry](n) == at_three
+    assert SIZED_ENTRY_POINTS[entry](True) == SIZED_ENTRY_POINTS[entry](1)
+
+
+def test_double_factorial_refuses_non_integers():
+    assert double_factorial(np.int64(5)) == double_factorial(5) == 15
+    for m in (5.0, 2.5, -1.0, "5"):
+        with pytest.raises(ValueError, match="needs an odd integer >= -1"):
+            double_factorial(m)
+
+
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda: sample_uniform(3, 1.0), "seed must be an unsigned 64-bit integer"),
+        (lambda: sample_uniform(3, 1, stream=0.5), "stream must be a non-negative integer"),
+        (lambda: sample_uniform(3, 1, stream=2.0), "stream must be a non-negative integer"),
+        (lambda: clt_experiment(3, 10, 2.5), "seed must be an unsigned 64-bit integer"),
+    ],
+    ids=["seed", "stream", "integral-float-stream", "clt-seed"],
+)
+def test_draws_refuse_non_integer_seed_or_stream(monkeypatch, draw, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a matching was drawn")
+
+    monkeypatch.setattr("matchstat.matchings._partners", no_draw)
+    monkeypatch.setattr("matchstat.distribution._partners", no_draw)
+    with pytest.raises(ValueError, match=message):
+        draw()
+    monkeypatch.undo()
+    assert sample_uniform(3, np.uint64(1), stream=np.int64(2)) == sample_uniform(3, 1, 2)

@@ -266,6 +266,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_uniform(2, 2**64)
 
+    def test_admits_the_ends_of_the_seed_and_stream_ranges(self):
+        for seed in (0, 2**64 - 1):
+            assert sample_uniform(2, seed, stream=0).n == 2
+        with pytest.raises(ValueError, match="^stream must be a non-negative integer$"):
+            sample_uniform(2, 1, stream=-1)
+
     def test_sample_budget_limit(self, monkeypatch):
         monkeypatch.setattr("matchstat.matchings.SAMPLE_BUDGET", 5)
         assert sample_uniform(5, 1).n == 5
