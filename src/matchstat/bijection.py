@@ -198,7 +198,8 @@ class BijectionTrace:
     whose ``steps`` it returns, and the tableaux, its working tableau
     frozen unchecked after every step, on first read.  The tableaux count
     their cells from the matching first, raising BudgetError above
-    TRACE_BUDGET; their pass keeps the walk too, so it runs only once.
+    TRACE_BUDGET; their pass keeps the walk too, so reading them first
+    runs the forward map once.
     """
 
     def __init__(self, matching: Matching) -> None:
