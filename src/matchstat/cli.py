@@ -30,10 +30,9 @@ from .distribution import (
     ENUMERATION_BUDGET,
     BudgetError,
     MgfEntry,
-    _check_series_list,
+    _series_factors,
     clt_experiment,
     mgf_convergence_report,
-    mgf_series_factor,
     polynomial_by_enumeration,
     polynomial_by_gf,
 )
@@ -330,11 +329,9 @@ def cmd_mgf(args) -> Report:
 
 def cmd_lemma41(args) -> Report:
     _check_increasing(args.n)
-    _check_series_list(args.n, args.s)
     columns = ("n", "value", "lower_bound", "gap_to_limit")
     rows = []
-    for n in args.n:
-        value = mgf_series_factor(n, args.s)
+    for n, value in zip(args.n, _series_factors(args.n, args.s)):
         bound = math.exp(-args.s / math.sqrt(n)) - SERIES_BOUND_SLACK
         rows.append((n, value, bound, abs(value - 1.0)))
     _check_resolved("the series factor", args.n, [row[1] for row in rows], args.s)

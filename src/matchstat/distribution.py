@@ -31,10 +31,12 @@ distance are c_m / (2n-1)!! by correctly rounded integer division
 (relative error <= 2^-53, the same float as rounding the exact rational),
 formed for m <= n and mirrored like the coefficients; MGF sums use
 math.fsum, and the series factor is evaluated entirely in log space via
-log-sum-exp because (2n)! overflows floats from n = 86 on.  Each
-function that builds arrays imports numpy itself, so a process that only
-enumerates never loads it, and clt_experiment imports the process pool
-only when it starts more than one worker.
+log-sum-exp because (2n)! overflows floats from n = 86 on; a list of
+series factors is built in one doubling loop and charged as a whole, n
+plus the terms of every pass it takes or skips, against SERIES_BUDGET.
+Each function that builds arrays imports numpy itself, so a process that
+only enumerates never loads it, and clt_experiment imports the process
+pool only when it starts more than one worker.
 """
 
 from __future__ import annotations
@@ -46,13 +48,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .matchings import (
     ENUMERATION_BUDGET,
     BudgetError,
     _check_draws,
     _check_n,
+    _integer,
     _partners,
     _unchecked,
     closed_form_moments,
@@ -98,14 +101,10 @@ MGF_BUDGET = 2**31
 #: time, call included, at n = 1, and about three times it at n = 1000.
 _EXP_WORK = 1024
 
-#: Largest n + (number of terms) one pass of the MGF series factor may take.
+#: Largest n + (number of terms) a request of MGF series factors may
+#: build: each value charges its n and every pass it takes or skips
+#: charges its terms, across the whole list.
 SERIES_BUDGET = 2**22
-
-#: Largest sum over a list of series factors of n + (terms of the first
-#: pass built), charged before the first is computed.  The costliest
-#: request found within it, ``lemma41 --n 1,2,...,5621 --s 100``, takes
-#: about 4.4 s and 37 MB on one core of a 2-vCPU VM.
-_SERIES_LIST_BUDGET = 2**25
 
 _TARGET_VAR = 1.0 / 6.0
 
@@ -374,45 +373,6 @@ def _log_gamma_ratio(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _series_logs(n: int, s: float) -> tuple[int, float, float, float]:
-    """The checked n, then decay s/sqrt(n) and the log prefactor and log
-    scale of the series factor; ValueError unless 0 < s < inf."""
-    n = _check_n(n)
-    if not 0 < s < math.inf:
-        raise ValueError(f"s must be positive and finite, got {s}")
-    log_prefactor = (2 * n + 1) * (math.log(s) - 0.5 * math.log(n)) - math.lgamma(
-        2 * n + 1
-    )
-    return n, s / math.sqrt(n), log_prefactor, log_prefactor + n * math.log(2.0)
-
-
-def _series_passes(n: int, decay: float, log_scale: float) -> Iterator[int]:
-    """The last k of each pass of the series factor left to build, in order.
-
-    The number of terms doubles from 1024; a pass that cannot end is
-    skipped.  Raises BudgetError once a pass, taken or skipped, would
-    have n + terms above SERIES_BUDGET.
-    """
-    k_hi = 512
-    while True:
-        k_hi *= 2
-        if n + k_hi > SERIES_BUDGET:
-            raise BudgetError("n+terms", n + k_hi, SERIES_BUDGET)
-        # A pass cannot end if its last term, from one scalar lgamma
-        # difference (off by far less than 1 nat), lies at -39 nats or
-        # above.  Nor can it while the terms rise: d/dk sum_j log(k^2+k+2j)
-        # >= n(2k+1)/(k^2+k+2n-2), and n(2k+1) - decay(k^2+k+2n-2) is a
-        # quadratic in k, positive at k = 1 exactly when decay < 3/2, so
-        # positive on an interval [1, k2) that holds k_hi here.
-        x = (k_hi * k_hi + k_hi) / 2
-        last = log_scale + math.lgamma(x + n) - math.lgamma(x) - decay * k_hi
-        if last < -39.0 and not (
-            decay < 1.5
-            and n * (2 * k_hi + 1) > decay * (k_hi * k_hi + k_hi + 2 * n - 2)
-        ):
-            yield k_hi
-
-
 def mgf_series_factor(n: int, s: float) -> float:
     """The series factor of the normalized-descent MGF; its limit is 1.
 
@@ -431,63 +391,91 @@ def mgf_series_factor(n: int, s: float) -> float:
     value.  Raises BudgetError, before any array is built, once a pass
     taken or skipped would have n + terms above SERIES_BUDGET, and
     OverflowError naming n and s when the factor exceeds the float range.
+    lemma41 runs the same loop over its whole list, against the one budget.
 
     Equivalently, the product is 2^n n! g_k with g_k = C(x+n-1, n) and
     (2n)! = 2^n n! (2n-1)!!, so the generating-function identity of
     polynomial_by_gf gives the factor, with d = s/sqrt(n), as
     (d / (1 - e^-d))^(2n+1) * sum_m c_m e^(-d m) / (2n-1)!!.
     """
+    return _series_factors([n], s)[0]
+
+
+def _series_factors(n_list: Sequence[int], s: float) -> list[float]:
+    """mgf_series_factor(n, s) for each n of the list, in its order.
+
+    The list is charged as a whole: before each pass, taken or skipped,
+    BudgetError is raised when the n + terms of the values done, plus
+    this n and the pass's terms, exceed SERIES_BUDGET.  Each value is
+    checked when its turn comes, so a refusal may follow computed values.
+    """
     import numpy as np
 
-    n, decay, log_prefactor, log_scale = _series_logs(n, s)
-    chunks: list[np.ndarray] = []  # the log terms of k = 1 .. k_lo - 1
-    peak = -math.inf
-    k_lo = 4
-    for k_hi in _series_passes(n, decay, log_scale):
-        if not chunks:  # k = 0 adds nothing: its j = 0 factor vanishes
-            two_j = 2.0 * np.arange(n, dtype=np.float64)
-            head = [
-                log_prefactor + math.fsum(np.log(two_j + (k * k + k))) - decay * k
-                for k in (1, 2, 3)
-            ]
-            chunks.append(np.array(head))
-            peak = max(head)
-        k = np.arange(k_lo, k_hi + 1, dtype=np.float64)
-        chunk = _log_gamma_ratio((k * k + k) * 0.5, n)
-        chunk += log_scale
-        with np.errstate(over="ignore"):  # inf for s near the float max
-            chunk -= decay * k
-        chunks.append(chunk)
-        k_lo = k_hi + 1
-        peak = max(peak, float(chunk.max()))
-        # the truncation is sound only once the peak lies strictly inside
-        # the range and the last term has dropped below -40 nats; a last
-        # term 40 nats below the peak is not the peak
-        if chunk[-1] < min(-40.0, peak - 40.0):
-            break
-    log_terms = np.concatenate(chunks)
-    try:
-        return math.exp(peak + math.log(float(np.exp(log_terms - peak).sum())))
-    except OverflowError:
-        raise OverflowError(
-            f"exp overflow evaluating the series factor at n={n}, s={s}"
-        ) from None
-
-
-def _check_series_list(n_list: Sequence[int], s: float) -> None:
-    """Refuse a list of series factors at one s before any array is built.
-
-    Each n is checked in the order of the list as mgf_series_factor checks
-    it, its refusals included, and is charged n plus the terms of the
-    first pass it would build, the least it costs.  Raises BudgetError
-    when the charges sum above _SERIES_LIST_BUDGET.
-    """
-    work = 0
+    values = []
+    spent = 0  # n + terms of the values done
     for n in n_list:
-        n, decay, _, log_scale = _series_logs(n, s)
-        work += n + next(_series_passes(n, decay, log_scale))
-    if work > _SERIES_LIST_BUDGET:
-        raise BudgetError("series work", work, _SERIES_LIST_BUDGET)
+        n = _check_n(n)
+        if not 0 < s < math.inf:
+            raise ValueError(f"s must be positive and finite, got {s}")
+        decay = s / math.sqrt(n)
+        log_prefactor = (2 * n + 1) * (
+            math.log(s) - 0.5 * math.log(n)
+        ) - math.lgamma(2 * n + 1)
+        log_scale = log_prefactor + n * math.log(2.0)
+        chunks: list[np.ndarray] = []  # the log terms of k = 1 .. k_lo - 1
+        peak = -math.inf
+        k_lo = 4
+        k_hi = 512
+        while True:
+            k_hi *= 2
+            if spent + n + k_hi > SERIES_BUDGET:
+                raise BudgetError("n+terms", spent + n + k_hi, SERIES_BUDGET)
+            # A pass cannot end if its last term, from one scalar lgamma
+            # difference (off by far less than 1 nat), lies at -39 nats or
+            # above.  Nor can it while the terms rise: d/dk sum_j
+            # log(k^2+k+2j) >= n(2k+1)/(k^2+k+2n-2), and n(2k+1) -
+            # decay(k^2+k+2n-2) is a quadratic in k, positive at k = 1
+            # exactly when decay < 3/2, so positive on an interval [1, k2)
+            # that holds k_hi here.
+            x = (k_hi * k_hi + k_hi) / 2
+            last = log_scale + math.lgamma(x + n) - math.lgamma(x) - decay * k_hi
+            if last >= -39.0 or (
+                decay < 1.5
+                and n * (2 * k_hi + 1) > decay * (k_hi * k_hi + k_hi + 2 * n - 2)
+            ):
+                continue
+            if not chunks:  # k = 0 adds nothing: its j = 0 factor vanishes
+                two_j = 2.0 * np.arange(n, dtype=np.float64)
+                head = [
+                    log_prefactor + math.fsum(np.log(two_j + (k * k + k))) - decay * k
+                    for k in (1, 2, 3)
+                ]
+                chunks.append(np.array(head))
+                peak = max(head)
+            k = np.arange(k_lo, k_hi + 1, dtype=np.float64)
+            chunk = _log_gamma_ratio((k * k + k) * 0.5, n)
+            chunk += log_scale
+            with np.errstate(over="ignore"):  # inf for s near the float max
+                chunk -= decay * k
+            chunks.append(chunk)
+            k_lo = k_hi + 1
+            peak = max(peak, float(chunk.max()))
+            # the truncation is sound only once the peak lies strictly
+            # inside the range and the last term has dropped below -40
+            # nats; a last term 40 nats below the peak is not the peak
+            if chunk[-1] < min(-40.0, peak - 40.0):
+                break
+        spent += n + k_hi
+        log_terms = np.concatenate(chunks)
+        try:
+            values.append(
+                math.exp(peak + math.log(float(np.exp(log_terms - peak).sum())))
+            )
+        except OverflowError:
+            raise OverflowError(
+                f"exp overflow evaluating the series factor at n={n}, s={s}"
+            ) from None
+    return values
 
 
 def _normal_cdf(x: float, sigma: float) -> float:
@@ -569,9 +557,12 @@ def _resolve_workers(threads: int | None) -> int:
             raise ValueError(
                 f"MATCHSTAT_THREADS must be a positive integer, got {env!r}"
             )
-    if threads < 1:
+    count = _integer(threads)
+    if count is None:
+        raise ValueError(f"thread count must be an integer, got {threads!r}")
+    if count < 1:
         raise ValueError("thread count must be >= 1")
-    return min(threads, os.cpu_count() or 1)
+    return min(count, os.cpu_count() or 1)
 
 
 def clt_experiment(
@@ -585,17 +576,22 @@ def clt_experiment(
     count, which is further capped at the number of cores.  Reports the
     sample mean and variance of W and the KS distance, with both
     one-sided gaps measured at every sample lattice point.  The sample
-    variance needs ``num_samples >= 2``.  Then, before any draw or worker
-    pool, the request is checked in the order of matchings._check_draws:
-    BudgetError for n > SAMPLE_BUDGET, then for a draw cost
-    num_samples * max(2n, 1024) above DRAW_BUDGET, then ValueError for a
-    seed outside [0, 2^64).
+    variance needs an integer ``num_samples >= 2``.  Then, before any draw
+    or worker pool, the request is checked in the order of
+    matchings._check_draws: BudgetError for n > SAMPLE_BUDGET, then for a
+    draw cost num_samples * max(2n, 1024) above DRAW_BUDGET, then
+    ValueError for a seed outside [0, 2^64); last, ValueError unless the
+    worker count is an integer >= 1.
     """
     import numpy as np
 
     n = _check_n(n)
-    if num_samples < 2:
+    samples = _integer(num_samples)
+    if samples is None:
+        raise ValueError(f"num_samples must be an integer, got {num_samples!r}")
+    if samples < 2:
         raise ValueError("num_samples must be >= 2")
+    num_samples = samples
     _check_draws(n, seed, 0, num_samples)
     workers = _resolve_workers(threads)
     if workers == 1 or num_samples < 4 * workers:

@@ -487,6 +487,10 @@ MGF_S_LIST = ",".join(f"{k / 10000:g}" for k in range(1, 18001))
 #: Every n from 1 to 9897: each is admitted alone, the list is not.
 LEMMA41_LIST = ",".join(map(str, range(1, 9898)))
 
+#: 15 values from n = 8592 at s = 1, each admitted alone at about 2^21
+#: terms: the second value's pass of 2^21 terms is over the series budget.
+LEMMA41_LATE = ",".join(map(str, range(8592, 9951, 97)))
+
 # Inputs that must end in a usage error (2) or a budget error (3), never a traceback.
 BAD_INPUTS = [
     (["mgf", "--n", "10", "--s", "1e6"], 2),  # exp overflows
@@ -518,6 +522,7 @@ BAD_INPUTS = [
     (["mgf", "--n", MGF_LIST], 3),
     (["mgf", "--n", "1000", "--s", MGF_S_LIST], 3),
     (["lemma41", "--n", LEMMA41_LIST], 3),
+    (["lemma41", "--n", LEMMA41_LATE], 3),
     (["lemma41", "--n", "300000"], 3),
     (["clt", "--n", "2000000"], 3),
     (["tableau", "--random", "1", "--n", "2000000"], 3),
@@ -540,6 +545,7 @@ BAD_INPUTS = [
         .replace(MGF_LIST, "MGF_LIST")
         .replace(MGF_S_LIST, "MGF_S_LIST")
         .replace(LEMMA41_LIST, "LEMMA41_LIST")
+        .replace(LEMMA41_LATE, "LEMMA41_LATE")
         or "(none)"
         for a, _ in BAD_INPUTS
     ],

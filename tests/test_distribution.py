@@ -37,15 +37,16 @@ from matchstat import distribution
 from matchstat.cli import main
 from matchstat.distribution import (
     _check_moments,
-    _check_series_list,
     _descent_counts_range,
     _difference,
     _normal_cdf,
     _resolve_workers,
+    _series_factors,
 )
 from matchstat.matchings import _STREAM_BLOCK
 
 from gf_oracle import gf_coefficient
+from moment_oracle import central_moment, raw_moments
 from walk_oracle import closed_walk_descents
 
 
@@ -110,6 +111,43 @@ class TestPolynomials:
         for n in range(2, 201):
             assert exact(n, polynomial_by_gf(n).coeffs) == fitted(n)
         assert exact(1000, coeffs_1000) == fitted(1000)
+
+    @pytest.mark.parametrize("n", [*range(3, 40), 200])
+    def test_moment_recursion_matches_coefficients(self, n):
+        coeffs = polynomial_by_gf(n).coeffs
+        total = double_factorial(2 * n - 1)
+        expected = [
+            Fraction(sum(m**r * c for m, c in enumerate(coeffs)), total)
+            for r in range(7)
+        ]
+        assert raw_moments(n, 6) == expected
+
+    def test_fourth_and_sixth_moments_proven(self):
+        # For fixed r the recursion's a_r, e_j(1..2n), e_i(0..n-1) and
+        # binomials are polynomials in n, so by induction mu'_r L_r, with
+        # L_r = prod_{i<=r} (2n)(2n-1)...(2n-i+1), is a polynomial in n;
+        # as 0 <= D < 2n it is O(n^(r + r(r+1)/2)), which bounds its degree.
+        # So is the central moment's.  Each closed form P/Q below has Q
+        # dividing L_r, so (mu_r - P/Q) L_r is a polynomial of degree at
+        # most 14 for r = 4 and 27 for r = 6: vanishing at 38 or more n, it
+        # is zero, and the closed form holds at every n with 2n >= r.
+        def mu4(n):
+            top = 5 * n**4 + 24 * n**3 - 26 * n**2 - 111 * n + 84
+            return Fraction(top, 15 * (2 * n - 1) * (2 * n - 3))
+
+        def mu6(n):
+            top = (
+                35 * n**6 + 189 * n**5 - 388 * n**4 - 2067 * n**3
+                + 1316 * n**2 + 4911 * n - 2340
+            )
+            return Fraction(top, 63 * (2 * n - 5) * (2 * n - 3) * (2 * n - 1))
+
+        for n in range(2, 41):
+            assert central_moment(n, 4) == mu4(n)
+            assert central_moment(n, 3) == 0
+            assert central_moment(n, 2) == closed_form_moments(n).var_d
+        for n in range(3, 41):
+            assert central_moment(n, 6) == mu6(n)
 
     def test_moment_checks_reject_wrong_tuples(self):
         n = 6
@@ -308,6 +346,12 @@ class TestMgf:
         with pytest.raises(BudgetError, match="n=1001"):
             mgf_Wn(1001, 1.0)
 
+    @pytest.mark.parametrize("s", [0.0, -0.5, -1.0])
+    def test_rejects_s_at_or_below_zero_by_name(self, s):
+        message = rf"^s must be positive and finite, got {s}$"
+        with pytest.raises(ValueError, match=message):
+            mgf_series_factor(10, s)
+
     def test_rejects_non_finite_s(self):
         for s in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
@@ -503,41 +547,51 @@ class TestSeriesFactor:
         with pytest.raises(BudgetError, match=r"n\+terms=4214304 "):
             mgf_series_factor(20000, 1.0)
 
-    def test_list_charged_its_first_passes_before_any_array(self, monkeypatch):
-        # each n is charged n plus the terms of the first pass it builds: its
-        # first array of Stirling terms, k = 4 .. k_hi, and k = 1 .. 3; at
-        # s = 0.1, n = 3 builds a second pass, which is not charged
+    def test_list_charged_every_pass_against_one_budget(self, monkeypatch):
+        # a list is charged n plus the final k_hi of each value, summed: at
+        # s = 0.1, n = 3 builds two passes, and each pass charges its terms
+        # k = 1 .. k_hi once, so the charge is the terms built
         n_list = [3, 25, 100]
         built = []
 
         def counted(x, n):
-            built.append((n, len(x) + 3))  # k_hi on a first pass
+            built.append((n, len(x)))
             return log_gamma_ratio(x, n)
 
         log_gamma_ratio = distribution._log_gamma_ratio
         monkeypatch.setattr(distribution, "_log_gamma_ratio", counted)
-        for n in n_list:
-            mgf_series_factor(n, 0.1)
+        values = _series_factors(n_list, 0.1)
         assert [n for n, _ in built].count(3) == 2
-        first = dict(reversed(built))
-        charge = sum(n + first[n] for n in n_list)
-        monkeypatch.setattr(distribution, "_SERIES_LIST_BUDGET", charge)
-        _check_series_list(n_list, 0.1)
+        final = {n: 3 + sum(t for m, t in built if m == n) for n in n_list}
+        charge = sum(n + final[n] for n in n_list)
+        admitted = list(built)
 
-        def no_arrays(*args, **kwargs):
-            raise AssertionError("an array was built")
-
-        monkeypatch.setattr("numpy.arange", no_arrays)
-        monkeypatch.setattr(distribution, "_SERIES_LIST_BUDGET", charge - 1)
-        with pytest.raises(BudgetError, match=f"^series work={charge} exceeds"):
-            _check_series_list(n_list, 0.1)
-        # each n is checked alone first, in the order of the list
-        with pytest.raises(BudgetError, match=r"^n\+terms=4214304 "):
-            _check_series_list([25, 20000, 0], 1.0)
+        monkeypatch.setattr(distribution, "SERIES_BUDGET", charge)
+        built.clear()
+        assert _series_factors(n_list, 0.1) == values
+        assert built == admitted
+        monkeypatch.setattr(distribution, "SERIES_BUDGET", charge - 1)
+        built.clear()
+        with pytest.raises(BudgetError, match=rf"^n\+terms={charge} exceeds"):
+            _series_factors(n_list, 0.1)
+        # refused before the last pass of n = 100 builds its Stirling terms
+        assert built == admitted[:-1]
+        # each n is checked when its turn comes, in the order of the list,
+        # and its passes are charged on top of the values done
+        monkeypatch.undo()
+        with pytest.raises(BudgetError, match=rf"^n\+terms={4214304 + 1049} "):
+            _series_factors([25, 20000, 0], 1.0)
         with pytest.raises(ValueError, match="^n must be >= 1$"):
-            _check_series_list([25, 0, 20000], 1.0)
+            _series_factors([25, 0, 20000], 1.0)
         with pytest.raises(ValueError, match="^s must be positive and finite"):
-            _check_series_list([25], -1.0)
+            _series_factors([25], -1.0)
+
+    @pytest.mark.parametrize("s", [0.1, 1.0, 5.0])
+    def test_list_values_equal_single_calls(self, s):
+        n_list = [1, 3, 25, 113, 345]
+        singles = [mgf_series_factor(n, s) for n in n_list]
+        assert _series_factors(n_list, s) == singles
+        assert _series_factors([], s) == []
 
     # sha256 of repr of the values, n outermost, computed before passes
     # were pre-checked in scalar floats
@@ -566,6 +620,32 @@ class TestSeriesFactor:
         monkeypatch.setattr(distribution, "_log_gamma_ratio", counted)
         mgf_series_factor(345, 1.0)
         assert built == [32768]
+
+    @pytest.mark.parametrize(
+        "n,s,passes",
+        [
+            # decay 1: the rule's quadratic has its root near k = 2n = 3400,
+            # where the terms peak, so 1024 and 2048 are skipped; the last
+            # term of 4096 is far below the peak, and that pass ends the sum
+            (1700, math.sqrt(1700), [4096]),
+            # decay exactly 3/2: the rule is off, so the passes before the
+            # peak near k = 4n/3 are built although they cannot end the sum
+            (2500, 75.0, [1024, 2048, 4096]),
+        ],
+    )
+    def test_rising_rule_skips_only_below_decay_three_halves(
+        self, monkeypatch, n, s, passes
+    ):
+        built = []
+
+        def recorded(x, n):
+            built.append(round((math.sqrt(8 * x[-1] + 1) - 1) / 2))
+            return log_gamma_ratio(x, n)
+
+        log_gamma_ratio = distribution._log_gamma_ratio
+        monkeypatch.setattr(distribution, "_log_gamma_ratio", recorded)
+        mgf_series_factor(n, s)
+        assert built == passes
 
     @pytest.mark.parametrize("n,s,k_final", [(3, 0.1, 2048), (100000, 1000.0, 65536)])
     def test_built_passes_compute_each_term_once(self, monkeypatch, n, s, k_final):
@@ -777,6 +857,34 @@ class TestCltExperiment:
         with pytest.raises(ValueError, match="num_samples must be >= 2"):
             clt_experiment(5, 1, 1)
         assert clt_experiment(5, 2, 1).num_samples == 2
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ({"num_samples": 2.5}, r"num_samples must be an integer, got 2\.5"),
+            ({"num_samples": 1.5}, r"num_samples must be an integer, got 1\.5"),
+            ({"num_samples": "300"}, r"num_samples must be an integer, got '300'"),
+            ({"threads": 1.5}, r"thread count must be an integer, got 1\.5"),
+            ({"threads": 0.5}, r"thread count must be an integer, got 0\.5"),
+            ({"threads": "2"}, r"thread count must be an integer, got '2'"),
+        ],
+    )
+    def test_counts_must_be_integers(self, monkeypatch, counts, message):
+        # checked before num_samples >= 2 and threads >= 1, and before any
+        # draw or worker pool
+        def nothing_started(*args, **kwargs):
+            raise AssertionError("a draw or a worker pool started")
+
+        monkeypatch.setattr("matchstat.distribution._partners", nothing_started)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", nothing_started)
+        request = {"num_samples": 300, "threads": 2, **counts}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            clt_experiment(20, seed=9, **request)
+
+    def test_counts_of_any_integer_type(self):
+        expected = clt_experiment(5, 40, 1, threads=1)
+        assert clt_experiment(5, np.int64(40), 1, threads=np.int8(1)) == expected
+        assert clt_experiment(5, np.uint16(40), 1, threads=True) == expected
 
 
 class TestResolveWorkers:
