@@ -31,9 +31,10 @@ distance are c_m / (2n-1)!! by correctly rounded integer division
 (relative error <= 2^-53, the same float as rounding the exact rational),
 formed for m <= n and mirrored like the coefficients; MGF sums use
 math.fsum, and the series factor is evaluated entirely in log space via
-log-sum-exp because (2n)! overflows floats from n = 86 on; a list of
-series factors is built in one doubling loop and charged as a whole, n
-plus the terms of every pass it takes or skips, against SERIES_BUDGET.
+log-sum-exp because (2n)! overflows floats from n = 86 on, with its
+terms evaluated in blocks, at about 24 bytes per term; a list of series
+factors is built in one doubling loop and charged as a whole, n plus the
+terms of every pass it takes or skips, against SERIES_BUDGET.
 Each function that builds arrays imports numpy itself, so a process that
 only enumerates never loads it, and clt_experiment imports the process
 pool only when it starts more than one worker.
@@ -361,15 +362,28 @@ def _stirling_tail(z: np.ndarray) -> np.ndarray:
     return r * (1 / 12 + r2 * (-1 / 360 + r2 * (1 / 1260 - r2 / 1680)))
 
 
+#: Terms per block of _log_gamma_ratio: a float64 temporary of 2^13 values
+#: is 64 KiB, below glibc's 128 KiB mmap threshold, so it comes from the heap.
+_TERM_BLOCK = 2**13
+
+
 def _log_gamma_ratio(x: np.ndarray, n: int) -> np.ndarray:
-    """lnGamma(x + n) - lnGamma(x) for x >= 10, without cancelling two lgammas."""
+    """lnGamma(x + n) - lnGamma(x) for x >= 10, without cancelling two lgammas.
+
+    Evaluated in blocks of _TERM_BLOCK terms written into one output array,
+    so a series factor holds about 24 bytes per term: its k, x and result.
+    """
     import numpy as np
 
-    out = np.log1p(n / x)
-    out *= x - 0.5
-    out += n * np.log(x + n) - n
-    out += _stirling_tail(x + n)
-    out -= _stirling_tail(x)
+    out = np.empty_like(x)
+    for a in range(0, len(x), _TERM_BLOCK):
+        xb = x[a : a + _TERM_BLOCK]
+        ob = out[a : a + _TERM_BLOCK]
+        np.log1p(n / xb, out=ob)
+        ob *= xb - 0.5
+        ob += n * np.log(xb + n) - n
+        ob += _stirling_tail(xb + n)
+        ob -= _stirling_tail(xb)
     return out
 
 
@@ -445,18 +459,23 @@ def _series_factors(n_list: Sequence[int], s: float) -> list[float]:
             ):
                 continue
             if not chunks:  # k = 0 adds nothing: its j = 0 factor vanishes
-                two_j = 2.0 * np.arange(n, dtype=np.float64)
-                head = [
-                    log_prefactor + math.fsum(np.log(two_j + (k * k + k))) - decay * k
-                    for k in (1, 2, 3)
-                ]
+                two_j = np.arange(0.0, 2.0 * n, 2.0)
+                scratch = np.empty_like(two_j)
+                head = []
+                for k in (1, 2, 3):
+                    np.add(two_j, k * k + k, out=scratch)
+                    np.log(scratch, out=scratch)
+                    head.append(log_prefactor + math.fsum(scratch) - decay * k)
+                del two_j, scratch  # n floats each, freed before the pass's arrays
                 chunks.append(np.array(head))
                 peak = max(head)
             k = np.arange(k_lo, k_hi + 1, dtype=np.float64)
             chunk = _log_gamma_ratio((k * k + k) * 0.5, n)
             chunk += log_scale
             with np.errstate(over="ignore"):  # inf for s near the float max
-                chunk -= decay * k
+                k *= decay
+                chunk -= k
+            del k
             chunks.append(chunk)
             k_lo = k_hi + 1
             peak = max(peak, float(chunk.max()))
@@ -467,10 +486,11 @@ def _series_factors(n_list: Sequence[int], s: float) -> list[float]:
                 break
         spent += n + k_hi
         log_terms = np.concatenate(chunks)
+        del chunks
+        log_terms -= peak
+        np.exp(log_terms, out=log_terms)
         try:
-            values.append(
-                math.exp(peak + math.log(float(np.exp(log_terms - peak).sum())))
-            )
+            values.append(math.exp(peak + math.log(float(log_terms.sum()))))
         except OverflowError:
             raise OverflowError(
                 f"exp overflow evaluating the series factor at n={n}, s={s}"

@@ -542,9 +542,9 @@ BAD_INPUTS = [
         " ".join(a)
         .replace(WIDE_TRACE, "WIDE_TRACE")
         .replace(NESTED_WALK, "NESTED_WALK")
+        .replace(LEMMA41_LIST, "LEMMA41_LIST")
         .replace(MGF_LIST, "MGF_LIST")
         .replace(MGF_S_LIST, "MGF_S_LIST")
-        .replace(LEMMA41_LIST, "LEMMA41_LIST")
         .replace(LEMMA41_LATE, "LEMMA41_LATE")
         or "(none)"
         for a, _ in BAD_INPUTS

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from decimal import Decimal, localcontext
@@ -42,6 +43,7 @@ from matchstat.distribution import (
     _normal_cdf,
     _resolve_workers,
     _series_factors,
+    _stirling_tail,
 )
 from matchstat.matchings import _STREAM_BLOCK
 
@@ -664,6 +666,43 @@ class TestSeriesFactor:
         k = np.arange(4, k_final + 1, dtype=np.float64)
         assert len(seen) > 1
         assert np.array_equal(np.concatenate(seen), (k * k + k) * 0.5)
+
+    def test_peak_memory_per_term(self, monkeypatch):
+        # n = 3000, s = 1 builds one pass of 2^19 terms; k, x and the
+        # result take 24 bytes per term, whole-array temporaries 40 more
+        built = []
+
+        def counted(x, n):
+            built.append(len(x))
+            return log_gamma_ratio(x, n)
+
+        log_gamma_ratio = distribution._log_gamma_ratio
+        monkeypatch.setattr(distribution, "_log_gamma_ratio", counted)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mgf_series_factor(3000, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        terms = 3 + sum(built)
+        assert terms == 2**19
+        assert peak <= 32 * terms
+
+    @pytest.mark.parametrize("n", [1, 345, 8592])
+    def test_log_gamma_ratio_blocks_match_one_array(self, n):
+        # the five statements on whole arrays, at lengths around the block
+        # edges: the blocked evaluation must give the same floats
+        block = distribution._TERM_BLOCK
+        for length in (1, block - 1, block, block + 1, 3 * block + 5):
+            k = np.arange(4, length + 4, dtype=np.float64)
+            x = (k * k + k) * 0.5
+            expected = np.log1p(n / x)
+            expected *= x - 0.5
+            expected += n * np.log(x + n) - n
+            expected += _stirling_tail(x + n)
+            expected -= _stirling_tail(x)
+            assert np.array_equal(distribution._log_gamma_ratio(x, n), expected)
 
     def test_rejects_bad_s(self):
         with pytest.raises(ValueError):
