@@ -95,7 +95,7 @@ COEFFICIENT_BUDGET = 1000
 #: bitlen((2n-1)!!) // 32 + 1, cached or not, and each (n, s) value its
 #: 2n - 1 exponentials at _EXP_WORK each.  n = 1000 at one s costs 5.99e8;
 #: the costliest request found within it, ``mgf --n 1,2,...,358``, takes
-#: about 2.7 s and 35 MB on one core of a 2-vCPU VM.
+#: 2.4-4.5 s and 35 MB in a fresh process on one core of a 2-vCPU VM.
 MGF_BUDGET = 2**31
 
 #: Limb updates charged for one exponential of an MGF value: about its
@@ -396,10 +396,8 @@ def mgf_series_factor(n: int, s: float) -> float:
     its logarithm is summed factor by factor, and for k >= 4 (x >= 10) it
     comes from one Stirling-series difference per k, so the factor costs
     O(n + terms).  One loop doubles the number of terms from 1024 until
-    the last term's log magnitude falls below -40 nats.  A pass that
-    cannot end is skipped: one where the terms provably still rise at
-    its last k, or one whose last term, taken first as a scalar lgamma
-    difference (off by far less than 1 nat), lies at -39 nats or above.
+    the last term's log magnitude falls below -40 nats.  One rule skips
+    a pass that cannot end: the terms provably still rise at its last k.
     Each term is computed once, by the first pass built that reaches it,
     and later passes append theirs, so skipping does not change the
     value.  Raises BudgetError, before any array is built, once a pass
@@ -444,18 +442,13 @@ def _series_factors(n_list: Sequence[int], s: float) -> list[float]:
             k_hi *= 2
             if spent + n + k_hi > SERIES_BUDGET:
                 raise BudgetError("n+terms", spent + n + k_hi, SERIES_BUDGET)
-            # A pass cannot end if its last term, from one scalar lgamma
-            # difference (off by far less than 1 nat), lies at -39 nats or
-            # above.  Nor can it while the terms rise: d/dk sum_j
-            # log(k^2+k+2j) >= n(2k+1)/(k^2+k+2n-2), and n(2k+1) -
-            # decay(k^2+k+2n-2) is a quadratic in k, positive at k = 1
+            # One rule skips a pass: it cannot end while the terms rise.
+            # d/dk sum_j log(k^2+k+2j) >= n(2k+1)/(k^2+k+2n-2), and n(2k+1)
+            # - decay(k^2+k+2n-2) is a quadratic in k, positive at k = 1
             # exactly when decay < 3/2, so positive on an interval [1, k2)
             # that holds k_hi here.
-            x = (k_hi * k_hi + k_hi) / 2
-            last = log_scale + math.lgamma(x + n) - math.lgamma(x) - decay * k_hi
-            if last >= -39.0 or (
-                decay < 1.5
-                and n * (2 * k_hi + 1) > decay * (k_hi * k_hi + k_hi + 2 * n - 2)
+            if decay < 1.5 and n * (2 * k_hi + 1) > decay * (
+                k_hi * k_hi + k_hi + 2 * n - 2
             ):
                 continue
             if not chunks:  # k = 0 adds nothing: its j = 0 factor vanishes

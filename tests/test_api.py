@@ -2,6 +2,7 @@
 
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,3 +98,29 @@ def test_commands_without_arrays_leave_numpy_unloaded(argv):
 def test_arrays_load_numpy_on_first_use():
     statement = "import matchstat\nassert matchstat.polynomial_by_gf(3).total() == 15"
     assert heavy_modules_after(statement) == "['numpy']"
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: matchstat.Matching((2, 1, 2, 1)), "element 2 repeated"),
+        (
+            lambda: matchstat.Matching((2, 1)).partner_of(3),
+            "element 3 out of range 1..2",
+        ),
+        (lambda: matchstat.Tableau(((1,), ())), "tableau rows must be nonempty"),
+        (lambda: matchstat.Tableau(((0,),)), "entries must be positive, got 0"),
+        (
+            lambda: matchstat.closed_form_moments(4).value("nope"),
+            "unknown field 'nope'",
+        ),
+    ],
+    ids=["repeated", "partner_of", "empty_row", "zero_entry", "unknown_field"],
+)
+def test_refusal_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_one_pair_walk_parses():
+    assert matchstat.parse_oscillating("();(1);()").n == 1

@@ -8,7 +8,7 @@ import pytest
 
 from matchstat import matching_to_oscillating, sample_uniform
 from matchstat.cli import main
-from matchstat.distribution import _gf_coeffs
+from matchstat.distribution import MgfEntry, _gf_coeffs
 from matchstat.matchings import double_factorial
 
 
@@ -46,6 +46,14 @@ class TestStats:
         assert code == 0
         assert "omitted" in out
 
+    def test_enumerates_at_the_enumeration_budget(self, capsys):
+        # n = 6 is the largest n enumerated, so its report still checks
+        code, out, _ = run(capsys, "stats", "--n", "6", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["brute_force"] is not None
+        assert payload["all_match"] is True
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "stats", "--n", "4", "--format", "csv")
         assert code == 0
@@ -75,6 +83,13 @@ class TestPoly:
         payload = json.loads(out)
         assert payload["coeffs_enumeration"] is None
         assert sum(payload["coeffs_gf"]) == payload["total"]
+
+    def test_enumerates_at_the_enumeration_budget(self, capsys):
+        code, out, _ = run(capsys, "poly", "--n", "6", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["coeffs_enumeration"] == payload["coeffs_gf"]
+        assert payload["identical"] is True
 
     def test_unknown_flag_rejected(self, capsys):
         code, _, _ = run(capsys, "poly", "--n", "2", "--frobnicate")
@@ -374,12 +389,27 @@ class TestMgf:
         # one n compares nothing
         assert run(capsys, "mgf", "--n", "10", "--s", "1e-9")[0] == 0
 
+    def test_equal_errors_are_not_a_decrease(self, capsys, monkeypatch):
+        entries = (MgfEntry(10, 1.0, 1.5, 1.0, 0.5), MgfEntry(100, 1.0, 1.5, 1.0, 0.5))
+        monkeypatch.setattr(
+            "matchstat.cli.mgf_convergence_report", lambda n_list, s_list: entries
+        )
+        code, out, _ = run(capsys, "mgf", "--n", "10,100", "--s", "1")
+        assert code == 1
+        assert "abs_error strictly decreasing in n: FAIL" in out
+
 
 class TestLemma41:
     def test_convergence(self, capsys):
         code, out, _ = run(capsys, "lemma41", "--n", "25,100", "--s", "1")
         assert code == 0
         assert "PASS" in out
+
+    def test_rising_gap_fails(self, capsys):
+        # the gaps are 0.4565 at n = 1 and 0.5068 at n = 2
+        code, out, _ = run(capsys, "lemma41", "--n", "1,2")
+        assert code == 1
+        assert "gap strictly decreasing in n: FAIL" in out
 
     def test_rejects_nonpositive_s(self, capsys):
         code, _, _ = run(capsys, "lemma41", "--n", "25", "--s", "-1")
