@@ -76,8 +76,8 @@ __all__ = [
 
 #: Largest number of cells, summed over its 2n+1 tableaux, that a trace
 #: builds; a trace of 2n steps has at most n^2.  The slowest trace within
-#: it, a single column at n = 1448, takes 1.5-2 s (json) or 2.5-4 s (text,
-#: csv) and 200 MB through ``tableau --matching`` on one core of a 2-vCPU VM.
+#: it, a single column at n = 1448, takes 1.3 s (json) or 2.2 s (text, csv)
+#: and 193-197 MB through ``tableau --matching`` on one core of a 2-vCPU VM.
 TRACE_BUDGET = 2**21
 
 

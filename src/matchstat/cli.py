@@ -219,16 +219,17 @@ def cmd_tableau(args) -> Report:
     if args.matching is None:
         if args.n is None:
             raise ValueError("--random requires --n")
+        seed = 42 if args.seed is None else args.seed
         # the bijection both ways moves each letter along a route of about
         # sqrt(2n) cells, each move several times the cost of a drawn letter
-        _check_draws(args.n, args.seed, 0, args.random, 16 * math.isqrt(2 * args.n))
+        _check_draws(args.n, seed, 0, args.random, 16 * math.isqrt(2 * args.n))
         failures = 0
-        for m in _matchings(args.n, args.seed, 0, args.random):
+        for m in _matchings(args.n, seed, 0, args.random):
             osc, _ = matching_to_oscillating(m)
             failures += oscillating_to_matching(osc) != m
         payload = {
             "n": args.n,
-            "seed": args.seed,
+            "seed": seed,
             "count": args.random,
             "failures": failures,
             "round_trip": not failures,
@@ -237,10 +238,12 @@ def cmd_tableau(args) -> Report:
             json.dumps(payload),
             [],
             ("n", "seed", "count", "failures"),
-            [(args.n, args.seed, args.random, failures)],
+            [(args.n, seed, args.random, failures)],
             {f"round trip on {args.random} random matchings at n={args.n}": not failures},
         )
 
+    if args.n is not None or args.seed is not None:
+        raise ValueError("--n and --seed apply only to --random")
     m = parse_matching(args.matching)
     trace = BijectionTrace(m)
     tableaux = trace.tableaux  # the trace budget, then one pass that keeps the walk
@@ -390,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--matching", metavar="PAIRS")
     group.add_argument("--random", type=count, metavar="COUNT")
     p.add_argument("--n", type=count, default=None)
-    p.add_argument("--seed", type=seed, default=42)
+    p.add_argument("--seed", type=seed, default=None)  # 42 with --random
     common(p)
     p.set_defaults(func=cmd_tableau)
 

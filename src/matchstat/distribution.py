@@ -543,9 +543,9 @@ def _descent_counts_range(n: int, seed: int, start: int, stop: int) -> np.ndarra
 
     Entry k - start counts the descents of the matching that
     sample_uniform(n, seed, k) returns, drawn from the same stream
-    PCG64(SeedSequence(seed, spawn_key=(k,))) with its state computed
-    per block of streams (see _partners), so the counts do not depend on
-    how a range is cut; the caller has checked n, seed and start.
+    PCG64(SeedSequence(seed, spawn_key=(k,))), seeded as _partners
+    seeds it, so the counts do not depend on how a range is cut; the
+    caller has checked n, seed and start.
     """
     import numpy as np
 

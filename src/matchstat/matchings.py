@@ -266,8 +266,6 @@ def _check_draws(n: int, seed: int, start: int, stop: int, per_letter: int = 1) 
 
 #: Streams whose PCG64 states _partners computes in one pass.
 _STREAM_BLOCK = 256
-#: First stream whose spawn key has two 32-bit words.
-_TWO_WORD_STREAM = 2**32
 
 _M32 = 0xFFFFFFFF
 _M128 = 2**128 - 1
@@ -310,11 +308,14 @@ def _stream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     k.  numpy hashes a missing seed word as it hashes that zero padding,
     so the seed alone mixes into the pool of SeedSequence(seed), and only
     the last mixing round depends on k: it and generate_state(4, uint64)
-    run vectorised over k, then PCG64's seeding per stream.
+    run vectorised over k, then PCG64's seeding per stream.  Raises
+    ValueError for stop > 2^32, where k would need a second word.
     """
     import numpy as np
     from numpy.random import SeedSequence
 
+    if stop > 2**32:
+        raise ValueError(f"stream {stop - 1} has a two-word spawn key")
     # hash calls 0 .. 15 mix the seed into the pool, 16 .. 19 the word k
     k = np.arange(start, stop, dtype=np.uint32)
     h = np.array(_MIX_HASH, dtype=np.uint32)[:, None]
@@ -333,31 +334,26 @@ def _stream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
 def _stream_generators(
     seed: int, start: int, stop: int
 ) -> Iterator[np.random.Generator]:
-    # Yields, for k = start .. stop-1, a Generator at the start of stream
-    # k: one reused Generator per range, or numpy's constructors for a
-    # range of one stream (cheaper than a pass) and for streams >= 2^32.
-    # States are computed a block at a time, so memory does not grow
-    # with the range.
+    # Yields, for k = start .. stop-1, one Generator per range at the
+    # start of stream k, seeded one way: numpy's constructors seed stream
+    # start, and the states of the rest are computed a block at a time
+    # (_stream_states) and set on the same Generator, so memory does not
+    # grow with the range.
     # numpy.random is imported only here, which keeps it, and its memory,
     # out of processes that never draw.
     from numpy import random
 
-    block_stop = min(stop, _TWO_WORD_STREAM) if stop - start > 1 else start
-    if start < block_stop:
-        bits = random.PCG64(0)
-        rng = random.Generator(bits)
-        for a in range(start, block_stop, _STREAM_BLOCK):
-            b = min(a + _STREAM_BLOCK, block_stop)
-            for state, inc in _stream_states(seed, a, b):
-                bits.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                yield rng
-    for k in range(max(start, block_stop), stop):
-        yield random.Generator(random.PCG64(random.SeedSequence(seed, spawn_key=(k,))))
+    if start >= stop:
+        return
+    bits = random.PCG64(random.SeedSequence(seed, spawn_key=(start,)))
+    rng = random.Generator(bits)
+    fresh = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    yield rng
+    for a in range(start + 1, stop, _STREAM_BLOCK):
+        for state, inc in _stream_states(seed, a, min(a + _STREAM_BLOCK, stop)):
+            fresh["state"] = {"state": state, "inc": inc}
+            bits.state = fresh
+            yield rng
 
 
 def _partners(n: int, seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
@@ -367,11 +363,11 @@ def _partners(n: int, seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
     PCG64(SeedSequence(seed, spawn_key=(k,))), the one default_rng gives
     for that SeedSequence, and pairs the letters at positions 2t and 2t+1
     (uniform; see sample_uniform).  The stream is the same however the
-    range is cut: a range of several streams computes their PCG64 states
-    _STREAM_BLOCK streams at a time (_stream_states) and sets each on one
-    reused PCG64, while a range of one stream, and every stream k >= 2^32,
-    is built by numpy's constructors.  Every draw overwrites and yields
-    the same array, so a caller must use it before taking the next one.
+    range is cut, and it is seeded one way: numpy's constructors seed the
+    range's first stream, and the states of the rest are computed
+    _STREAM_BLOCK streams at a time (_stream_states) and set on the same
+    PCG64.  Every draw overwrites and yields the same array, so a caller
+    must use it before taking the next one.
     """
     import numpy as np
 
@@ -400,9 +396,9 @@ def sample_uniform(n: int, seed: int, stream: int = 0) -> Matching:
     2t+1.  The result is uniform: each matching arises from exactly
     2^n * n! of the (2n)! permutations (order its n blocks, then orient
     each block).  The shuffle draws from PCG64 seeded by
-    SeedSequence(seed, spawn_key=(stream,)), built here by numpy's
-    constructors and computed per block of streams where a whole range
-    is drawn, with the same states.  The result is deterministic for
+    SeedSequence(seed, spawn_key=(stream,)), a range of one stream, so
+    numpy's constructors seed it, as they seed the first stream of every
+    range (see _partners).  The result is deterministic for
     fixed (seed, stream) and distinct streams are independent: callers
     may parallelize by assigning one stream per draw.  Raises
     BudgetError for n > SAMPLE_BUDGET, then ValueError unless

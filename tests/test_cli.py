@@ -1,13 +1,29 @@
 """Command-line surface: outputs, verdicts, and exit codes."""
 
 import json
+import math
 import re
+from dataclasses import replace
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from matchstat import matching_to_oscillating, sample_uniform
-from matchstat.cli import main
+from matchstat import (
+    brute_force_moments,
+    clt_experiment,
+    matching_to_oscillating,
+    parse_matching,
+    polynomial_by_enumeration,
+    sample_uniform,
+)
+from matchstat.cli import (
+    CLT_KS_TOL,
+    CLT_MEAN_TOL,
+    CLT_VAR_TOL,
+    SERIES_BOUND_SLACK,
+    main,
+)
 from matchstat.distribution import MgfEntry, _gf_coeffs
 from matchstat.matchings import double_factorial
 
@@ -40,6 +56,11 @@ class TestStats:
         payload = json.loads(out)
         assert payload["all_match"] is True
         assert payload["closed_form"]["var_d"] == payload["brute_force"]["var_d"]
+
+    def test_json_is_indented_by_two(self, capsys):
+        code, out, _ = run(capsys, "stats", "--n", "2", "--format", "json")
+        assert code == 0
+        assert out.startswith('{\n  "n": 2,\n  "closed_form": {\n    "n": 2,\n')
 
     def test_large_n_omits_brute_force(self, capsys):
         code, out, _ = run(capsys, "stats", "--n", "9")
@@ -166,6 +187,18 @@ class TestTableau:
         assert code == 0
         assert "PASS" in out
 
+    def test_random_checks_streams_from_zero(self, capsys, monkeypatch):
+        checked = []
+
+        def forward(m):
+            checked.append(m)
+            return matching_to_oscillating(m)
+
+        monkeypatch.setattr("matchstat.cli.matching_to_oscillating", forward)
+        code, _, _ = run(capsys, "tableau", "--random", "3", "--n", "5", "--seed", "9")
+        assert code == 0
+        assert checked == [sample_uniform(5, 9, stream=k) for k in range(3)]
+
     def test_random_json(self, capsys):
         code, out, _ = run(
             capsys, "tableau", "--random", "3", "--n", "5", "--format", "json"
@@ -223,6 +256,12 @@ class TestTableau:
         code, _, _ = run(capsys, "tableau", "--matching", str(m), "--format", fmt)
         assert code == 0
         assert calls == {"_insert": 50, "_slide": 50}
+
+    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--n", "9"]])
+    def test_matching_refuses_random_flags(self, capsys, flag):
+        code, out, err = run(capsys, "tableau", "--matching", "1-2", *flag)
+        assert code == 2 and out == ""
+        assert err == "error: --n and --seed apply only to --random\n"
 
     def test_random_requires_n(self, capsys):
         code, _, _ = run(capsys, "tableau", "--random", "5")
@@ -465,6 +504,125 @@ class TestPlumbing:
         assert first == second
 
 
+def _clt_with(**fields):
+    return lambda n, samples, seed: replace(clt_experiment(n, samples, seed), **fields)
+
+
+def _first_coefficient_plus_one(n):
+    p = polynomial_by_enumeration(n)
+    return replace(p, coeffs=(p.coeffs[0] + 1, *p.coeffs[1:]))
+
+
+CLT_ARGV = ["clt", "--n", "1000", "--samples", "2000", "--seed", "42"]
+WORKED = "1-4,2-3,5-6"  # d = 5 and maj = 11; its conjugate has d = 3 and maj = 7
+
+#: One verdict line per row, broken alone by replacing the name cli.py
+#: imports: (name, replacement, argv, the line that must read FAIL).
+BROKEN_CHECKS = [
+    (
+        "brute_force_moments",
+        lambda n: replace(brute_force_moments(n), mean_d=Fraction(0)),
+        ["stats", "--n", "4"],
+        "closed forms match enumeration",
+    ),
+    (
+        "polynomial_by_enumeration",
+        _first_coefficient_plus_one,
+        ["poly", "--n", "3"],
+        "coefficients match enumeration",
+    ),
+    (
+        "conjugate_matching",  # d = 4, maj = 7
+        lambda m: parse_matching("1-5,2-3,4-6"),
+        ["conjugate", "--matching", WORKED],
+        "descent identity 5 + 4 = 8",
+    ),
+    (
+        "conjugate_matching",  # d = 3, maj = 6
+        lambda m: parse_matching("1-3,2-5,4-6"),
+        ["conjugate", "--matching", WORKED],
+        "major identity 11 + 6 = 18",
+    ),
+    (
+        "oscillating_to_matching",
+        lambda osc: parse_matching("1-2"),
+        ["tableau", "--matching", WORKED],
+        "round trip",
+    ),
+    (
+        "oscillating_to_matching",
+        lambda osc: parse_matching("1-2"),
+        ["tableau", "--random", "3", "--n", "5"],
+        "round trip on 3 random matchings at n=5",
+    ),
+    ("clt_experiment", _clt_with(sample_mean_W=0.06), CLT_ARGV, "|mean W| <= 0.05564"),
+    (
+        "clt_experiment",
+        _clt_with(sample_var_W=0.2),
+        CLT_ARGV,
+        "|var W - 1/6| <= 0.03136",
+    ),
+    ("clt_experiment", _clt_with(ks_distance=0.12), CLT_ARGV, "KS distance <= 0.1102"),
+    (
+        "_series_factors",  # equal gaps, both values above their bounds
+        lambda n_list, s: [0.95, 0.95],
+        ["lemma41", "--n", "25,100"],
+        "gap strictly decreasing in n",
+    ),
+    (
+        "_series_factors",  # the gaps 0.5, 0.4, 0.3 still fall
+        lambda n_list, s: [0.5, 0.6, 0.7],
+        ["lemma41", "--n", "25,100,400"],
+        "value >= lower_bound at every n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,fake,argv,line", BROKEN_CHECKS, ids=[row[3] for row in BROKEN_CHECKS]
+)
+def test_each_verdict_can_fail_alone(capsys, monkeypatch, name, fake, argv, line):
+    monkeypatch.setattr(f"matchstat.cli.{name}", fake)
+    code, out, err = run(capsys, *argv)
+    verdicts = re.findall(r"^(.+): (PASS|FAIL)$", out, re.M)
+    assert code == 1 and err == ""
+    assert (line, "FAIL") in verdicts
+    assert all(ok == "PASS" for check, ok in verdicts if check != line)
+
+
+def _on_the_bounds(n, samples, seed):
+    # with target_var 0 the mean and variance bounds are CLT_MEAN_TOL and
+    # CLT_VAR_TOL exactly
+    ks_bound = CLT_KS_TOL + math.sqrt(math.log(2e6) / (2 * samples))
+    return replace(
+        clt_experiment(n, samples, seed),
+        target_var=0.0,
+        sample_mean_W=-CLT_MEAN_TOL,
+        sample_var_W=CLT_VAR_TOL,
+        ks_distance=ks_bound,
+    )
+
+
+ON_THE_BOUNDS = [
+    ("clt_experiment", _on_the_bounds, CLT_ARGV),
+    (
+        "_series_factors",
+        lambda n_list, s: [
+            math.exp(-s / math.sqrt(n)) - SERIES_BOUND_SLACK for n in n_list
+        ],
+        ["lemma41", "--n", "25,100"],
+    ),
+]
+
+
+@pytest.mark.parametrize("name,fake,argv", ON_THE_BOUNDS, ids=["clt", "lemma41"])
+def test_values_on_their_bounds_pass(capsys, monkeypatch, name, fake, argv):
+    monkeypatch.setattr(f"matchstat.cli.{name}", fake)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "FAIL" not in out
+
+
 # Every command, small inputs, with the header its csv output must start with.
 CONTRACT = [
     (["stats", "--n", "4"], "field,closed_form,brute_force,verdict"),
@@ -544,6 +702,8 @@ BAD_INPUTS = [
     (["poly", "--n", "2", "--frobnicate"], 2),
     (["conjugate", "--matching", "1-1"], 2),
     (["tableau", "--random", "5"], 2),
+    (["tableau", "--matching", "1-2", "--seed", "5"], 2),  # --seed and --n
+    (["tableau", "--matching", "1-2", "--n", "9"], 2),  # apply only to --random
     (["clt", "--n", "5", "--samples", "1"], 2),
     (["clt", "--n", "5", "--seed", "18446744073709551616"], 2),
     ([], 2),

@@ -22,7 +22,7 @@ from matchstat import (
     sample_uniform,
 )
 from matchstat.cli import build_parser
-from matchstat.matchings import _partners, _stream_states
+from matchstat.matchings import _stream_generators, _stream_states
 
 
 @pytest.mark.parametrize(
@@ -336,14 +336,26 @@ class TestStreamStates:
             assert _stream_states(seed, k, k + 1) == [expected], k
             assert (low[k] if k < 2000 else high[k - 2**32 + 2]) == expected, k
 
-    def test_range_across_two_word_streams(self):
-        # streams from 2^32 on have a two-word spawn key and are built by
-        # numpy's constructors, as every single sample_uniform stream is
-        start, stop = 2**32 - 3, 2**32 + 3
-        drawn = [tuple((p + 1).tolist()) for p in _partners(7, 42, start, stop)]
-        assert drawn == [
-            sample_uniform(7, 42, stream=k).partner for k in range(start, stop)
+    @pytest.mark.parametrize(
+        "start,stop",
+        [(a, a + size) for a in (0, 1, 255, 256, 2**32 - 300) for size in (1, 2, 257)]
+        + [(2**32, 2**32 + 1), (2**40, 2**40 + 1), (5, 5)],
+    )
+    def test_generators_start_at_their_streams(self, start, stop):
+        # numpy's constructors seed stream start and the port sets the
+        # rest on the same generator; each state is read before the next
+        seed = 42
+        drawn = _stream_generators(seed, start, stop)
+        assert [rng.bit_generator.state for rng in drawn] == [
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))).state
+            for k in range(start, stop)
         ]
+
+    def test_two_word_streams_refused(self):
+        # np.arange(..., dtype=np.uint32) would wrap stream 2^32 to 0
+        message = "^stream 4294967296 has a two-word spawn key$"
+        with pytest.raises(ValueError, match=message):
+            _stream_states(42, 2**32 - 1, 2**32 + 1)
 
 
 class TestClosedFormMoments:
