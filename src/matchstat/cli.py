@@ -346,7 +346,7 @@ def cmd_lemma41(args) -> Report:
         "gap_strictly_decreasing": decreasing,
     }
     return Report(
-        json.dumps(payload),
+        json.dumps(_rounded(payload)),
         [f"series factor of the MGF at s={args.s:g} (limit 1)"],
         columns,
         rows,

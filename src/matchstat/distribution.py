@@ -19,7 +19,8 @@ one integer and multiplied by the one inverse of the odd u modulo
 any integer, u is a unit modulo a power of two, and every c_m lies in
 [0, (2n-1)!!], below 2^(32L), so each residue is c_m itself.
 Every computation checks the result against the count (2n-1)!!, the
-mean n and the variance of the descent count, all known in closed form.
+mean n, the variance and the fourth central moment of the descent
+count, all known in closed form.
 On top of the exact distribution sit the diagnostics for convergence of
 the normalized descent count W = (D - n)/sqrt(n) to N(0, 1/6):
 pointwise MGF values against exp(s^2/12), a deterministic
@@ -56,7 +57,6 @@ from .matchings import (
     BudgetError,
     _check_draws,
     _check_n,
-    _integer,
     _partners,
     _unchecked,
     closed_form_moments,
@@ -129,9 +129,7 @@ class DescentPolynomial:
 
 def polynomial_by_enumeration(n: int) -> DescentPolynomial:
     """Exact descent-count histogram over all (2n-1)!! matchings."""
-    n = _check_n(n)
-    if n > ENUMERATION_BUDGET:
-        raise BudgetError("n", n, ENUMERATION_BUDGET)
+    n = _check_n(n, most=ENUMERATION_BUDGET)
     coeffs = [0] * (2 * n)
     for m in enumerate_matchings(n):
         coeffs[descent_stats(m).descent_count] += 1
@@ -218,10 +216,11 @@ def _gf_coeffs(n: int) -> tuple[int, ...]:
 def _check_moments(n: int, coeffs: Sequence[int], total: int) -> None:
     """Raise ArithmeticError unless coeffs has the known law's first moments.
 
-    ``total`` is (2n-1)!!.  The count (2n-1)!!, the mean n and the
-    variance var_d of the descent count are established independently of
-    the generating function, so they test the differencing and the
-    mirroring from outside.
+    ``total`` is (2n-1)!!.  The count (2n-1)!!, the mean n, the variance
+    var_d and, for n >= 2, the fourth central moment
+    (5n^4 + 24n^3 - 26n^2 - 111n + 84) / (15(2n-1)(2n-3)) of the descent
+    count are established independently of the generating function, so
+    they test the differencing and the mirroring from outside.
     """
     if sum(coeffs) != total:
         raise ArithmeticError(f"coefficients at n={n} do not sum to (2n-1)!!")
@@ -230,6 +229,12 @@ def _check_moments(n: int, coeffs: Sequence[int], total: int) -> None:
     second = sum(m * m * c for m, c in enumerate(coeffs))
     if Fraction(second, total) - n * n != closed_form_moments(n).var_d:
         raise ArithmeticError(f"coefficients at n={n} do not have variance var_d")
+    fourth = sum((m - n) ** 4 * c for m, c in enumerate(coeffs))
+    top = 5 * n**4 + 24 * n**3 - 26 * n**2 - 111 * n + 84
+    if n >= 2 and fourth * 15 * (2 * n - 1) * (2 * n - 3) != top * total:
+        raise ArithmeticError(
+            f"coefficients at n={n} do not have the fourth central moment"
+        )
 
 
 def polynomial_by_gf(n: int) -> DescentPolynomial:
@@ -245,8 +250,9 @@ def polynomial_by_gf(n: int) -> DescentPolynomial:
     arrays of 32-bit limbs, and multiplies each result by the inverse of
     u modulo 2^(32L), computed once; since every c_m lies in
     [0, (2n-1)!!], the residues it returns are the integers.  The
-    result is checked against the count (2n-1)!!, the mean n and the
-    variance of closed_form_moments(n), raising ArithmeticError otherwise.
+    result is checked against the count (2n-1)!!, the mean n, the
+    variance of closed_form_moments(n) and the fourth central moment,
+    raising ArithmeticError otherwise.
     Raises BudgetError for n > COEFFICIENT_BUDGET, as does every function
     built on these coefficients.
     """
@@ -332,12 +338,7 @@ def mgf_convergence_report(
     work of each distinct n, and _EXP_WORK for each of the 2n - 1
     exponentials of each (n, s) value.
     """
-    ns = []
-    for n in n_list:
-        n = _check_n(n)
-        if n > COEFFICIENT_BUDGET:
-            raise BudgetError("n", n, COEFFICIENT_BUDGET)
-        ns.append(n)
+    ns = [_check_n(n, most=COEFFICIENT_BUDGET) for n in n_list]
     work = sum(
         (2 * n + 1) * (n + 1) * (double_factorial(2 * n - 1).bit_length() // 32 + 1)
         for n in set(ns)
@@ -570,12 +571,7 @@ def _resolve_workers(threads: int | None) -> int:
             raise ValueError(
                 f"MATCHSTAT_THREADS must be a positive integer, got {env!r}"
             )
-    count = _integer(threads)
-    if count is None:
-        raise ValueError(f"thread count must be an integer, got {threads!r}")
-    if count < 1:
-        raise ValueError("thread count must be >= 1")
-    return min(count, os.cpu_count() or 1)
+    return min(_check_n(threads, "thread count"), os.cpu_count() or 1)
 
 
 def clt_experiment(
@@ -588,23 +584,19 @@ def clt_experiment(
     MATCHSTAT_THREADS environment variable, else 1) caps the worker
     count, which is further capped at the number of cores.  Reports the
     sample mean and variance of W and the KS distance, with both
-    one-sided gaps measured at every sample lattice point.  The sample
-    variance needs an integer ``num_samples >= 2``.  Then, before any draw
-    or worker pool, the request is checked in the order of
-    matchings._check_draws: BudgetError for n > SAMPLE_BUDGET, then for a
-    draw cost num_samples * max(2n, 1024) above DRAW_BUDGET, then
-    ValueError for a seed outside [0, 2^64); last, ValueError unless the
-    worker count is an integer >= 1.
+    one-sided gaps measured at every sample lattice point.  Each count is
+    refused by matchings._check_n: n unless an integer >= 1, then
+    ``num_samples`` unless an integer >= 2, as the sample variance needs.
+    Then, before any draw or worker pool, the request is checked in the
+    order of matchings._check_draws: BudgetError for n > SAMPLE_BUDGET,
+    then for a draw cost num_samples * max(2n, 1024) above DRAW_BUDGET,
+    then ValueError for a seed outside [0, 2^64); last, ValueError unless
+    the worker count is an integer >= 1.
     """
     import numpy as np
 
     n = _check_n(n)
-    samples = _integer(num_samples)
-    if samples is None:
-        raise ValueError(f"num_samples must be an integer, got {num_samples!r}")
-    if samples < 2:
-        raise ValueError("num_samples must be >= 2")
-    num_samples = samples
+    num_samples = _check_n(num_samples, "num_samples", 2)
     _check_draws(n, seed, 0, num_samples)
     workers = _resolve_workers(threads)
     if workers == 1 or num_samples < 4 * workers:

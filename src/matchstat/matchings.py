@@ -7,8 +7,10 @@ addressing, and the descent/major-index moments both in closed form and
 by exhaustive brute force.  All moments are exact `fractions.Fraction`
 values; the brute-force report is the oracle for the closed forms.
 Each outside value is checked in one place, here or in the modules
-built on this one: a size n by _check_n (ValueError unless n is an
-integer >= 1; 2.5 and 2.0 are not), a request for draws by _check_draws.
+built on this one: every count (a size n, a number of samples, a worker
+count) is refused by _check_n unless it is an integer (2.5 and 2.0 are
+not) at least its least value and, where a budget applies, at most it;
+a request for draws is refused by _check_draws.
 """
 
 from __future__ import annotations
@@ -88,14 +90,17 @@ def _integer(value) -> int | None:
         return None
 
 
-def _check_n(n) -> int:
-    """n as an int; ValueError unless n is an integer, then unless n >= 1."""
-    size = _integer(n)
-    if size is None:
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if size < 1:
-        raise ValueError("n must be >= 1")
-    return size
+def _check_n(value, name: str = "n", least: int = 1, most: int | None = None) -> int:
+    """``value`` as an int; ValueError unless it is an integer, then unless it
+    is >= least, then BudgetError(name, count, most) when it exceeds ``most``."""
+    count = _integer(value)
+    if count is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if most is not None and count > most:
+        raise BudgetError(name, count, most)
+    return count
 
 
 def double_factorial(m: int) -> int:
@@ -247,14 +252,14 @@ def _check_draws(n: int, seed: int, start: int, stop: int, per_letter: int = 1) 
 
     Every entry point that draws calls this once, after its own argument
     checks and before any draw or worker pool.  The refusals come in one
-    order: BudgetError for n > SAMPLE_BUDGET, then BudgetError for a draw
-    cost (stop - start) * max(2n, 1024) * per_letter above DRAW_BUDGET (a
+    order: n is refused by _check_n, which raises BudgetError for
+    n > SAMPLE_BUDGET, then BudgetError for a draw cost
+    (stop - start) * max(2n, 1024) * per_letter above DRAW_BUDGET (a
     caller that does more than draw charges ``per_letter`` for each
     letter), then ValueError unless 0 <= seed < 2^64 and start >= 0 are
     integers.  The draws themselves trust seed and every stream.
     """
-    if n > SAMPLE_BUDGET:
-        raise BudgetError("n", n, SAMPLE_BUDGET)
+    n = _check_n(n, most=SAMPLE_BUDGET)
     cost = (stop - start) * max(2 * n, _DRAW_FLOOR) * per_letter
     if cost > DRAW_BUDGET:
         raise BudgetError("draw cost", cost, DRAW_BUDGET)
@@ -506,9 +511,7 @@ def brute_force_moments(n: int) -> MomentReport:
     each kind; cost grows as (2n-1)!!, so n above ENUMERATION_BUDGET
     raises BudgetError before the first matching.
     """
-    n = _check_n(n)
-    if n > ENUMERATION_BUDGET:
-        raise BudgetError("n", n, ENUMERATION_BUDGET)
+    n = _check_n(n, most=ENUMERATION_BUDGET)
     count = 0
     sum_d = sum_d2 = sum_maj = sum_maj2 = 0
     descent_hits = adjacent_hits = nonadjacent_hits = 0

@@ -463,6 +463,25 @@ class TestLemma41:
         assert payload["gap_strictly_decreasing"] is True
         assert len(payload["rows"]) == 2
 
+    def test_json_rounds_s_as_every_real(self, capsys):
+        code, out, _ = run(
+            capsys, "lemma41", "--n", "25,100", "--s", "0.12345678901234567",
+            "--format", "json",
+        )
+        assert code == 0
+        assert out.startswith('{"s": 0.123456789012, "rows": ')
+        code, out, err = run(capsys, "lemma41", "--n", "25,100,400", "--format", "json")
+        assert (code, out, err) == (
+            0,
+            '{"s": 1.0, "rows": [{"n": 25, "value": 1.11593779683, '
+            '"lower_bound": 0.818730752078, "gap_to_limit": 0.11593779683}, '
+            '{"n": 100, "value": 1.05388272391, "lower_bound": 0.904837417036, '
+            '"gap_to_limit": 0.0538827239132}, {"n": 400, "value": 1.02595493931, '
+            '"lower_bound": 0.951229423501, "gap_to_limit": 0.0259549393101}], '
+            '"gap_strictly_decreasing": true}\n',
+            "",
+        )
+
     def test_overflow_names_n_and_s(self, capsys):
         code, out, err = run(capsys, "lemma41", "--n", "345", "--s", "1000")
         assert code == 2 and out == ""
@@ -706,6 +725,9 @@ BAD_INPUTS = [
     (["tableau", "--matching", "1-2", "--n", "9"], 2),  # apply only to --random
     (["clt", "--n", "5", "--samples", "1"], 2),
     (["clt", "--n", "5", "--seed", "18446744073709551616"], 2),
+    # a flag's range is a usage error, refused before any budget
+    (["clt", "--n", "1048577", "--seed=-1"], 2),
+    (["tableau", "--random", "1", "--n", "1048577", "--seed=-1"], 2),
     ([], 2),
     (["poly", "--n", "1001"], 3),
     (["mgf", "--n", "1001", "--s", "1"], 3),

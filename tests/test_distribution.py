@@ -167,10 +167,18 @@ class TestPolynomials:
             "sum to": moved([(3, 1)]),
             "mean": moved([(3, -1), (4, 1)]),
             "variance": moved([(n, -2), (n - 1, 1), (n + 1, 1)]),
+            "fourth central moment": moved(
+                [(n - 2, 1), (n - 1, -4), (n, 6), (n + 1, -4), (n + 2, 1)]
+            ),
         }
         for message, coeffs in wrong.items():
             with pytest.raises(ArithmeticError, match=message):
                 _check_moments(n, coeffs, total)
+        # n = 2 is the least n with a fourth-moment test; there a third
+        # difference keeps the count, mean and variance
+        two = [c + d for c, d in zip(polynomial_by_gf(2).coeffs, (-1, 3, -3, 1))]
+        with pytest.raises(ArithmeticError, match="fourth central moment"):
+            _check_moments(2, two, 3)
 
     def test_high_degree_coefficients_vanish(self):
         for n in range(1, 41):
@@ -747,6 +755,15 @@ class TestCltExperiment:
                 dist = max(dist, cum / draws - target)
         assert clt_experiment(n, draws, seed).ks_distance == dist
 
+    def test_mean_and_sample_variance_of_w(self):
+        n, draws = 20, 7
+        w = ((_descent_counts_range(n, 9, 0, draws) - n) / math.sqrt(n)).tolist()
+        report = clt_experiment(n, draws, 9)
+        mean = sum(w) / draws
+        assert report.sample_mean_W == pytest.approx(mean, rel=1e-12, abs=1e-12)
+        var = sum((x - mean) ** 2 for x in w) / (draws - 1)  # unbiased: B - 1
+        assert report.sample_var_W == pytest.approx(var, rel=1e-12)
+
     def test_sample_budget_checked_before_any_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool started")
@@ -914,6 +931,15 @@ class TestResolveWorkers:
     def test_capped_at_core_count(self):
         assert _resolve_workers(10**9) == (os.cpu_count() or 1)
         assert _resolve_workers(1) == 1
+
+    def test_one_worker_by_default_and_none_refused(self, monkeypatch):
+        monkeypatch.delenv("MATCHSTAT_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _resolve_workers(None) == 1
+        with pytest.raises(ValueError, match="^thread count must be >= 1$"):
+            _resolve_workers(0)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
+        assert _resolve_workers(5) == 1
 
     def test_env_capped_at_core_count(self, monkeypatch):
         monkeypatch.setenv("MATCHSTAT_THREADS", str(10**9))
